@@ -21,6 +21,9 @@
 #                     output (spans, trace, metrics, audit) swept for every
 #                     fingerprinted secret — must find the seeded canary
 #                     and nothing else
+#   make fuzz-smoke   run every Fuzz* target in the tree for FUZZTIME (3s)
+#                     each: the wire decoders (nodeproto), the DSM
+#                     migration/warm-up decoders and the TCP parsers
 #   make obs-smoke    observability gate: traced login with valid exports,
 #                     zero-alloc disabled path, Fig 13 hook-cost guard
 #   make bench-smoke  one iteration of every benchmark (a does-it-run gate,
@@ -41,7 +44,7 @@ GO ?= go
 GOFMT ?= gofmt
 LABEL ?= $(shell git log -1 --format=%h 2>/dev/null || echo manual)
 
-.PHONY: all build vet test check differential race chaos crash-chaos fleet-smoke obs-smoke guardrail bench-smoke bench-json bench-offload bench-store clean
+.PHONY: all build vet test check differential race chaos crash-chaos fleet-smoke fuzz-smoke obs-smoke guardrail bench-smoke bench-json bench-offload bench-store clean
 
 all: build vet test
 
@@ -70,6 +73,7 @@ check:
 	$(MAKE) fleet-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) guardrail
+	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 
 # The node service plus the transports that drive it concurrently get a
@@ -133,6 +137,19 @@ fleet-smoke:
 guardrail:
 	$(GO) test -count=1 -run 'TestGuardrailLoadgen' ./internal/ctl/guardrail/
 	$(GO) test -count=1 -run 'TestSweeperCanary|TestScanner' ./internal/ctl/guardrail/
+
+# Fuzz gate: every Fuzz* target in the tree (found by name, so a new one
+# joins without editing this rule), each for FUZZTIME. Their seed corpora
+# already run in `go test`; this explores past them. A failure leaves its
+# input under the package's testdata/fuzz/ for `go test` to replay.
+FUZZTIME ?= 3s
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$t ($$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./$$(dirname $$f)/; \
+		done; \
+	done
 
 # One iteration of every benchmark in the tree: catches benchmarks that
 # stopped compiling or panic, without pretending to measure anything (see

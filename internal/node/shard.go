@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -221,6 +222,9 @@ func (s *Service) shard(deviceID string) *DeviceShard {
 	if sh := s.shards[deviceID]; sh != nil {
 		return sh
 	}
+	// The shard outlives the request that named the device: copy the ID so
+	// the map does not pin that request's decoded strings.
+	deviceID = strings.Clone(deviceID)
 	sh := newShard(deviceID, s.replayCfg)
 	s.shards[deviceID] = sh
 	return sh
@@ -252,6 +256,7 @@ func (s *Service) AttachShard(deviceID string, auditSeqFloor uint64) (created bo
 	s.mu.Lock()
 	sh := s.shards[deviceID]
 	if sh == nil {
+		deviceID = strings.Clone(deviceID)
 		sh = newShard(deviceID, s.replayCfg)
 		s.shards[deviceID] = sh
 		created = true

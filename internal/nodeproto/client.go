@@ -36,9 +36,8 @@ func apps256(s string) string {
 type DenialError struct {
 	// Reason is the machine-readable policy reason (policy.Reason.String()).
 	Reason string
-	// Code is the stable numeric reason (policy.Reason.Code()), decoded from
-	// the wire when the server sent one; -1 against a pre-code server, in
-	// which case Reason's text is the only signal.
+	// Code is the stable numeric reason (policy.Reason.Code()) decoded from
+	// the wire; -1 when the server sent none.
 	Code int
 	// Message is the node's full error text.
 	Message string
@@ -51,16 +50,12 @@ func (e *DenialError) Error() string {
 // Is maps a wire denial onto the node package's sentinels, so
 // errors.Is(err, node.ErrDenied) — or node.ErrRevoked, node.ErrMalware —
 // behaves identically whether the denial happened in-process or over TCP.
-// The numeric code resolves the reason in O(1); the text scan survives only
-// as the fallback for pre-code servers.
+// The reason comes from the numeric code; the text is never parsed.
 func (e *DenialError) Is(target error) bool {
 	if target == node.ErrDenied {
 		return true
 	}
 	if r, ok := policy.ReasonFromCode(e.Code); ok {
-		return target == node.SentinelForReason(r)
-	}
-	if r, ok := policy.ReasonFromString(e.Reason); ok {
 		return target == node.SentinelForReason(r)
 	}
 	return false
@@ -141,10 +136,9 @@ type Client struct {
 	sendq   chan pendingWrite
 	closing chan struct{}
 
-	mu       sync.Mutex // guards waiters, fifo, err, isClosed
+	mu       sync.Mutex // guards waiters, err, isClosed
 	waiters  map[uint64]*waiter
-	fifo     []uint64 // outstanding seqs in send order, for Seq==0 servers
-	err      error    // terminal transport error
+	err      error // terminal transport error
 	isClosed bool
 
 	// serialMu serializes whole round trips when serial mode is on.
@@ -257,7 +251,7 @@ func (c *Client) writer() {
 		// Mark before writing: once any bytes may have left, a failure on
 		// this request is ambiguous — the node may have executed it.
 		c.markSent(pw.seq)
-		if err := WriteMessage(c.bw, pw.req); err != nil {
+		if err := WriteRequest(c.bw, pw.req); err != nil {
 			dead = err
 			c.resolve(pw.seq, result{err: transportErr(true, err)})
 			c.failAll(err)
@@ -299,13 +293,11 @@ func (c *Client) writer() {
 	}
 }
 
-// reader demultiplexes responses to waiters by Seq. A Seq of 0 (legacy
-// server) resolves the oldest outstanding request — legacy servers answer
-// strictly in order, so FIFO matching is exact.
+// reader demultiplexes responses to waiters by Seq.
 func (c *Client) reader() {
 	for {
 		resp := new(Response)
-		if err := ReadMessage(c.br, resp); err != nil {
+		if err := ReadResponse(c.br, resp); err != nil {
 			c.mu.Lock()
 			closed := c.isClosed
 			c.mu.Unlock()
@@ -316,11 +308,7 @@ func (c *Client) reader() {
 			return
 		}
 		c.mu.Lock()
-		seq := resp.Seq
-		if seq == 0 && len(c.fifo) > 0 {
-			seq = c.fifo[0]
-		}
-		w := c.takeWaiterLocked(seq)
+		w := c.takeWaiterLocked(resp.Seq)
 		c.mu.Unlock()
 		if w != nil {
 			w.ch <- result{resp: resp}
@@ -335,12 +323,6 @@ func (c *Client) takeWaiterLocked(seq uint64) *waiter {
 		return nil
 	}
 	delete(c.waiters, seq)
-	for i, s := range c.fifo {
-		if s == seq {
-			c.fifo = append(c.fifo[:i], c.fifo[i+1:]...)
-			break
-		}
-	}
 	return w
 }
 
@@ -375,7 +357,6 @@ func (c *Client) failAll(err error) {
 	}
 	waiters := c.waiters
 	c.waiters = make(map[uint64]*waiter)
-	c.fifo = nil
 	c.mu.Unlock()
 	for _, w := range waiters {
 		w.ch <- result{err: transportErr(w.sent, err)}
@@ -412,7 +393,6 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error)
 		return nil, transportErr(false, err)
 	}
 	c.waiters[seq] = w
-	c.fifo = append(c.fifo, seq)
 	c.mu.Unlock()
 
 	select {

@@ -45,14 +45,14 @@ func slowServer(t *testing.T, firstDelay time.Duration) string {
 		first := true
 		for {
 			var req Request
-			if err := ReadMessage(conn, &req); err != nil {
+			if err := ReadRequest(conn, &req); err != nil {
 				return
 			}
 			if first {
 				first = false
 				time.Sleep(firstDelay)
 			}
-			if err := WriteMessage(conn, &Response{OK: true, Seq: req.Seq}); err != nil {
+			if err := WriteResponse(conn, &Response{OK: true, Seq: req.Seq}); err != nil {
 				return
 			}
 		}

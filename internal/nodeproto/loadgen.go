@@ -18,12 +18,13 @@ import (
 	"tinman/internal/tlssim"
 )
 
-// seedClient reproduces the repo's pre-pipelining client behavior byte
-// for byte: one mutex-guarded request in flight per connection,
-// unbuffered writes (4-byte header and JSON body in separate syscalls),
-// reads straight off the conn. It is the baseline the pipelined client is
-// measured against; it speaks the same wire format (Seq omitted), which
-// the server still serves.
+// seedClient reproduces the repo's pre-pipelining client behavior: one
+// mutex-guarded request in flight per connection, unbuffered writes (the
+// 4-byte header and the body in separate syscalls), reads straight off the
+// conn into a fresh body buffer per message. It is the baseline the
+// pipelined client is measured against. It speaks the current wire format
+// through an unpooled path (Seq omitted, which the server still serves), so
+// the comparison measures the client stack, not the encoding.
 type seedClient struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -42,10 +43,7 @@ func (c *seedClient) Close() error { return c.conn.Close() }
 func (c *seedClient) do(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+	body := appendRequest(nil, req)
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	if _, err := c.conn.Write(hdr[:]); err != nil {
@@ -55,7 +53,7 @@ func (c *seedClient) do(req *Request) (*Response, error) {
 		return nil, err
 	}
 	var resp Response
-	if err := seedReadMessage(c.conn, &resp); err != nil {
+	if err := seedReadResponse(c.conn, &resp); err != nil {
 		return nil, err
 	}
 	if !resp.OK {
@@ -64,28 +62,23 @@ func (c *seedClient) do(req *Request) (*Response, error) {
 	return &resp, nil
 }
 
-// seedReadMessage is the seed's ReadMessage: allocate a body buffer per
-// message and decode with json.Unmarshal (which scans the input twice).
-// The pipelined stack's pooled single-scan ReadMessage replaced it; the
-// baseline keeps the original so the comparison measures the whole seed
-// client, not just its framing.
-func seedReadMessage(r io.Reader, v any) error {
+// seedReadResponse is the seed's read path: allocate a body buffer per
+// message, sized by the header, and decode it. The pipelined stack reads
+// into pooled buffers behind a bufio.Reader instead.
+func seedReadResponse(r io.Reader, resp *Response) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxMessage {
+	if n > maxMessage {
 		return fmt.Errorf("nodeproto: implausible message length %d", n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return err
 	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("nodeproto: unmarshal: %v", err)
-	}
-	return nil
+	return decodeResponse(body, resp)
 }
 
 func (c *seedClient) catalog() error {

@@ -286,10 +286,10 @@ func TestMessageFraming(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go func() {
-		WriteMessage(a, &Request{Op: OpPing, CorID: "x"})
+		WriteRequest(a, &Request{Op: OpPing, CorID: "x"})
 	}()
 	var req Request
-	if err := ReadMessage(b, &req); err != nil {
+	if err := ReadRequest(b, &req); err != nil {
 		t.Fatal(err)
 	}
 	if req.Op != OpPing || req.CorID != "x" {

@@ -1,5 +1,5 @@
 // Package nodeproto implements TinMan's trusted-node service over a real
-// network: a JSON request/response protocol carrying the operations a
+// network: a binary request/response protocol carrying the operations a
 // device needs from the node — cor registration and catalog, app binding,
 // policy administration, audit queries, and the heart of the SSL/TCP
 // offload path: resealing a marked record with cor plaintext under an
@@ -10,30 +10,34 @@
 // counterpart for the trusted-node half, served by cmd/tinman-node and
 // consumed by cmd/tinman-device.
 //
-// # Pipelining and compatibility
+// # Framing
 //
-// Every message carries a Seq correlation ID so a single connection can
+// A message is a 4-byte big-endian body length followed by the body: the
+// Request or Response fields in the tagged binary encoding of codec.go.
+// Opaque payloads — the tlssim session state, a shard export, a policy
+// snapshot, a warm-up chunk, a resealed record — travel as raw bytes, with
+// no JSON pass and no base64. The decoder fails closed: an unknown tag,
+// trailing bytes or a count larger than the bytes left reject the message.
+//
+// # Pipelining
+//
+// Every request carries a Seq correlation ID so a single connection can
 // hold many requests in flight: the server echoes Req.Seq into Resp.Seq
-// and may answer out of order. Compatibility is by construction rather
-// than by version negotiation:
+// and may answer out of order.
 //
-//   - Old client, new server: a pre-Seq client sends Seq == 0 and keeps at
-//     most one request outstanding; the server echoes 0 back (omitted on
-//     the wire via omitempty) and the lone round trip works unchanged.
-//   - New client, old server: a pre-Seq server replies in order with
-//     Seq == 0; the client falls back to FIFO matching for Seq == 0
-//     responses (see Client), which is exactly the old server's order.
+// The binary encoding replaced an earlier JSON one on a flag day. There is
+// no version negotiation: clients and nodes from before the change cannot
+// talk to clients and nodes after it, and a node reading a JSON body
+// rejects it as malformed.
 package nodeproto
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
-
-	"tinman/internal/fastjson"
 )
 
 // Op names a protocol operation.
@@ -77,52 +81,51 @@ const (
 // Request is the envelope every client message uses. Unused fields stay
 // empty; the node validates per-op.
 type Request struct {
-	Op Op `json:"op"`
+	Op Op
 	// Seq correlates the response on a pipelined connection; the server
-	// echoes it verbatim. 0 means a legacy one-at-a-time client.
-	Seq uint64 `json:"seq,omitempty"`
+	// echoes it verbatim.
+	Seq uint64
 	// ReqID, when set on a non-idempotent op, makes it at-most-once: the
 	// server records the first execution's result in a replay window keyed
 	// by this ID and answers duplicates from the record. Retry layers set
 	// it so an ambiguous transport failure — request sent, no reply — can
-	// be replayed without double-executing. Empty disables dedup (legacy).
-	ReqID string `json:"req_id,omitempty"`
+	// be replayed without double-executing. Empty disables dedup.
+	ReqID string
 	// Cor identity and content.
-	CorID       string   `json:"cor_id,omitempty"`
-	Plaintext   string   `json:"plaintext,omitempty"`
-	Description string   `json:"description,omitempty"`
-	Whitelist   []string `json:"whitelist,omitempty"`
-	Length      int      `json:"length,omitempty"`
-	ParentID    string   `json:"parent_id,omitempty"`
+	CorID       string
+	Plaintext   string
+	Description string
+	Whitelist   []string
+	Length      int
+	ParentID    string
 	// Caller identity.
-	AppHash  string `json:"app_hash,omitempty"`
-	DeviceID string `json:"device_id,omitempty"`
+	AppHash  string
+	DeviceID string
 	// Reseal parameters.
-	State     json.RawMessage `json:"state,omitempty"`
-	Domain    string          `json:"domain,omitempty"`
-	TargetIP  string          `json:"target_ip,omitempty"`
-	RecordLen int             `json:"record_len,omitempty"`
+	State     json.RawMessage
+	Domain    string
+	TargetIP  string
+	RecordLen int
 	// TraceID/SpanID propagate the caller's obs span (hex, zero-padded) so
-	// node-side spans join the device's trace. Empty when tracing is off;
-	// old servers ignore the extra keys and old clients never send them.
-	TraceID string `json:"trace_id,omitempty"`
-	SpanID  string `json:"span_id,omitempty"`
+	// node-side spans join the device's trace. Empty when tracing is off.
+	TraceID string
+	SpanID  string
 	// Shard carries a marshaled node.ShardExport for OpHandoffImport. It
 	// travels only between trusted nodes (the export holds cor plaintext);
 	// device-facing clients never set it.
-	Shard json.RawMessage `json:"shard,omitempty"`
+	Shard json.RawMessage
 	// App names the installed app an OpDSMWarmup chunk belongs to (the
 	// device half of the AppKey; DeviceID is the other half).
-	App string `json:"app,omitempty"`
+	App string
 	// Chunk is the encoded dsm.WarmupChunk for OpDSMWarmup. Like a
 	// migration, it carries cor IDs only — never plaintext.
-	Chunk []byte `json:"chunk,omitempty"`
+	Chunk []byte
 	// Class is the cor sensitivity class ("public", "sensitive",
 	// "server-only") for OpRegister/OpGenerate/OpSetClass. Empty keeps the
 	// default (sensitive).
-	Class string `json:"class,omitempty"`
+	Class string
 	// Policy carries a marshaled policy.Snapshot for OpPolicyInstall.
-	Policy json.RawMessage `json:"policy,omitempty"`
+	Policy json.RawMessage
 }
 
 // CatalogEntry is the device-visible cor metadata.
@@ -132,7 +135,7 @@ type CatalogEntry struct {
 	Description string `json:"description"`
 	Bit         int    `json:"bit"`
 	// Class is the cor's sensitivity class; empty means the default
-	// (sensitive) on entries from pre-class servers.
+	// (sensitive).
 	Class string `json:"class,omitempty"`
 }
 
@@ -156,7 +159,9 @@ type AuditEntry struct {
 	PolicyHash    string `json:"policy_hash,omitempty"`
 }
 
-// Response is the node's reply envelope.
+// Response is the node's reply envelope. Its JSON tags serve only the
+// replay records a shard export carries across a handoff (see
+// Server.dispatch); the wire uses the binary encoding.
 type Response struct {
 	OK bool `json:"ok"`
 	// Seq echoes the request's correlation ID.
@@ -166,8 +171,8 @@ type Response struct {
 	// carries the machine-readable reason.
 	Denial string `json:"denial,omitempty"`
 	// DenialCode is the stable numeric form of Denial: policy.Reason.Code()
-	// biased by +1 so 0 means "absent" (a pre-code server). Clients prefer
-	// it over scanning the text; the text stays for humans.
+	// biased by +1 so 0 means "absent". Clients match on it; the text stays
+	// for humans.
 	DenialCode int `json:"denial_code,omitempty"`
 	// PolicyVersion/PolicyHash answer OpPolicyVersion and acknowledge
 	// OpPolicyInstall with the stamp the engine now runs.
@@ -192,41 +197,53 @@ type Response struct {
 // maxMessage bounds a single protocol message.
 const maxMessage = 16 << 20
 
+// readChunk bounds how far ReadRequest/ReadResponse grow a body buffer
+// ahead of the bytes that actually arrived: a header is only a claim, so
+// four bytes claiming maxMessage must not buy a 16 MB allocation.
+const readChunk = 64 << 10
+
 // maxPooled bounds the buffers kept in the pools; larger one-off messages
 // (a big catalog, a long audit query) are allocated and dropped rather
 // than pinning memory.
 const maxPooled = 1 << 20
 
-// writeBufPool recycles the marshal buffers WriteMessage frames into so a
-// busy node does not allocate per request.
-var writeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// readBufPool recycles the body buffers ReadMessage decodes from.
-// json.Unmarshal copies everything it stores (including json.RawMessage
-// and []byte fields), so the buffer can be reused immediately after.
-var readBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 4096)
+// bufPool recycles frame buffers on both the write and the read side, so a
+// busy node does not allocate per message. Decoding copies every field out
+// of the body, so a read buffer is reusable as soon as decoding returns.
+var bufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
 	return &b
 }}
 
-// WriteMessage frames and writes one JSON message. The 4-byte length
-// header and the body leave in a single Write, so a bufio.Writer or a raw
-// conn both see one contiguous frame.
-func WriteMessage(w io.Writer, v any) error {
-	buf := writeBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooled {
-			buf.Reset()
-			writeBufPool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0}) // header placeholder, patched below
-	enc := json.NewEncoder(buf)
-	if err := enc.Encode(v); err != nil {
-		return fmt.Errorf("nodeproto: marshal: %v", err)
+func putBuf(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooled {
+		*bp = b[:0]
+		bufPool.Put(bp)
 	}
-	frame := buf.Bytes()
+}
+
+// WriteRequest frames and writes one request.
+func WriteRequest(w io.Writer, req *Request) error {
+	bp := bufPool.Get().(*[]byte)
+	b := appendRequest(append((*bp)[:0], 0, 0, 0, 0), req)
+	err := writeFrame(w, b)
+	putBuf(bp, b)
+	return err
+}
+
+// WriteResponse frames and writes one response.
+func WriteResponse(w io.Writer, resp *Response) error {
+	bp := bufPool.Get().(*[]byte)
+	b := appendResponse(append((*bp)[:0], 0, 0, 0, 0), resp)
+	err := writeFrame(w, b)
+	putBuf(bp, b)
+	return err
+}
+
+// writeFrame patches the body length into frame's 4-byte header and writes
+// header and body in a single Write, so a bufio.Writer or a raw conn both
+// see one contiguous frame.
+func writeFrame(w io.Writer, frame []byte) error {
 	body := len(frame) - 4
 	if body > maxMessage {
 		return fmt.Errorf("nodeproto: message of %d bytes exceeds limit", body)
@@ -236,47 +253,62 @@ func WriteMessage(w io.Writer, v any) error {
 	return err
 }
 
-// ReadMessage reads one framed JSON message into v.
-func ReadMessage(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+// ReadRequest reads one framed request into req.
+func ReadRequest(r io.Reader, req *Request) error {
+	bp := bufPool.Get().(*[]byte)
+	body, err := readFrame(r, (*bp)[:0])
+	if err == nil {
+		err = decodeRequest(body, req)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxMessage {
-		return fmt.Errorf("nodeproto: implausible message length %d", n)
-	}
-	bp := readBufPool.Get().(*[]byte)
-	if cap(*bp) < int(n) {
-		*bp = make([]byte, n)
-	}
-	body := (*bp)[:n]
-	defer func() {
-		if cap(*bp) <= maxPooled {
-			readBufPool.Put(bp)
-		}
-	}()
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	// Protocol envelopes take the schema-specialized fast path (codec.go);
-	// anything it does not fully understand — and any other type — goes
-	// through the general single-scan decoder. The target is zeroed before
-	// falling back so a partially-filled fast-path attempt cannot leak.
-	switch t := v.(type) {
-	case *Request:
-		if decodeRequest(body, t) {
-			return nil
-		}
-		*t = Request{}
-	case *Response:
-		if decodeResponse(body, t) {
-			return nil
-		}
-		*t = Response{}
-	}
-	if err := fastjson.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("nodeproto: unmarshal: %v", err)
-	}
-	return nil
+	putBuf(bp, body)
+	return err
 }
+
+// ReadResponse reads one framed response into resp.
+func ReadResponse(r io.Reader, resp *Response) error {
+	bp := bufPool.Get().(*[]byte)
+	body, err := readFrame(r, (*bp)[:0])
+	if err == nil {
+		err = decodeResponse(body, resp)
+	}
+	putBuf(bp, body)
+	return err
+}
+
+// readFrame reads one frame's body into buf, growing it as the bytes
+// arrive — at most readChunk, or the bytes already read, past them — never
+// to the header's claim up front. It returns the body, or on error the
+// buffer for recycling.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	// The header lands in buf too: a local array passed to an io.Reader
+	// escapes, costing an allocation per message.
+	buf = append(buf[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	n := int(binary.BigEndian.Uint32(buf))
+	if n > maxMessage {
+		return buf, fmt.Errorf("nodeproto: implausible message length %d", n)
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n, len(buf)+max(readChunk, len(buf)))-len(buf))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// allOps lists every protocol operation.
+var allOps = []Op{OpRegister, OpGenerate, OpCatalog, OpBind, OpRevoke,
+	OpRestore, OpReseal, OpDerive, OpAudit, OpPing,
+	OpWhoOwns, OpHandoffExport, OpHandoffImport, OpDSMWarmup,
+	OpPolicyInstall, OpPolicyVersion, OpSetClass}

@@ -117,10 +117,7 @@ func (s *Server) SetObs(tr *obs.Tracer, m *obs.Metrics) {
 		requests: make(map[Op]*obs.Counter),
 		latency:  make(map[Op]*obs.Histogram),
 	}
-	for _, op := range []Op{OpRegister, OpGenerate, OpCatalog, OpBind, OpRevoke,
-		OpRestore, OpReseal, OpDerive, OpAudit, OpPing,
-		OpWhoOwns, OpHandoffExport, OpHandoffImport, OpDSMWarmup,
-		OpPolicyInstall, OpPolicyVersion, OpSetClass} {
+	for _, op := range allOps {
 		sm.requests[op] = m.Counter(fmt.Sprintf(`tinman_node_requests_total{op=%q}`, op))
 		sm.latency[op] = m.Histogram(fmt.Sprintf(`tinman_node_request_seconds{op=%q}`, op))
 	}
@@ -257,8 +254,8 @@ func (s *Server) Close() error {
 // handleConn pipelines one connection: a read loop pulls framed requests
 // and hands each to a bounded worker goroutine; workers write their
 // response (tagged with the request's Seq) under a shared write lock as
-// soon as they finish, possibly out of order. Legacy clients that keep one
-// request outstanding observe the old strictly-serial behavior.
+// soon as they finish, possibly out of order. A client that keeps one
+// request outstanding observes strictly serial behavior.
 //
 // Every handler runs under a connection-scoped context, cancelled when the
 // connection goes away or the server closes, so service calls observe
@@ -335,7 +332,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			err := conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if err == nil {
-				err = WriteMessage(bw, resp)
+				err = WriteResponse(bw, resp)
 			}
 			if err != nil {
 				s.logf("tinman-node: %s: write: %v", conn.RemoteAddr(), err)
@@ -383,8 +380,15 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.logf("tinman-node: %s: set read deadline: %v", conn.RemoteAddr(), err)
 			return
 		}
+		// Close cuts the wait short by moving the deadline to now; if that
+		// landed before the re-arm above, nothing would wake this read.
+		select {
+		case <-s.closed:
+			return
+		default:
+		}
 		req := new(Request)
-		if err := ReadMessage(br, req); err != nil {
+		if err := ReadRequest(br, req); err != nil {
 			if !errors.Is(err, io.EOF) {
 				s.logf("tinman-node: %s: read: %v", conn.RemoteAddr(), err)
 			}

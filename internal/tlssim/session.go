@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"tinman/internal/fastjson"
 	"tinman/internal/obs"
 )
 
@@ -159,12 +158,12 @@ func resumeHalf(st *State, h *HalfState, rnd io.Reader) (*halfConn, error) {
 // Marshal serializes the state for transport to the trusted node.
 func (st *State) Marshal() ([]byte, error) { return json.Marshal(st) }
 
-// UnmarshalState parses a serialized session state. The node parses one
-// state per reseal, so this sits on the offload hot path and uses the
-// single-scan decoder.
+// UnmarshalState parses a serialized session state. The node caches the
+// parsed state per distinct blob (node's stateCache), so this runs once per
+// session rather than once per reseal.
 func UnmarshalState(b []byte) (*State, error) {
 	var st State
-	if err := fastjson.Unmarshal(b, &st); err != nil {
+	if err := json.Unmarshal(b, &st); err != nil {
 		return nil, fmt.Errorf("tlssim: unmarshal session state: %v", err)
 	}
 	return &st, nil
