@@ -108,7 +108,7 @@ func (s *OriginServer) onConn(c *tcpsim.Conn) {
 }
 
 func (sc *serverConn) onReadable() {
-	sc.buf = append(sc.buf, sc.tcp.Read(0)...)
+	sc.buf = append(sc.buf, sc.tcp.Read()...)
 	for {
 		if sc.sess == nil {
 			if !sc.stepHandshake() {

@@ -92,6 +92,9 @@ type App struct {
 	plan           *vm.OffloadPlan
 	warmStarted    bool
 	warmFinalIndex int
+	// warmBuf is the frame buffer each chunk is encoded into, reused from
+	// chunk to chunk: tcpsim copies what it sends and retains nothing.
+	warmBuf []byte
 
 	lastTrigger taint.Tag
 	Report      Report
@@ -319,16 +322,19 @@ func (a *App) sendWarmupChunk(epoch uint64) {
 		a.ep.AbortWarmup()
 		return
 	}
-	c, err := a.ep.CaptureWarmup(warmupChunkObjs)
-	if err != nil || c == nil {
-		return // a capture error already aborted the attempt
-	}
-	f, err := encodeWarmupChunk(a.Name, c.Encode())
+	// The chunk is encoded once, straight after the frame header and app
+	// name, into the app's reused frame buffer.
+	buf, err := beginWarmupChunk(a.warmBuf[:0], a.Name)
 	if err != nil {
 		a.ep.AbortWarmup()
 		return
 	}
-	enc := encodeFrame(f)
+	c, buf, err := a.ep.CaptureWarmup(warmupChunkObjs, buf)
+	if err != nil || c == nil {
+		return // a capture error already aborted the attempt
+	}
+	enc := finishFrame(buf)
+	a.warmBuf = enc
 	if err := d.ctrl.Write(enc); err != nil {
 		a.ep.AbortWarmup()
 		return
@@ -344,6 +350,7 @@ func (a *App) sendWarmupChunk(epoch uint64) {
 	}
 	if c.Final {
 		a.warmFinalIndex = c.Index
+		a.warmBuf = nil
 		return
 	}
 	w.Net.Schedule(cost, func() { a.sendWarmupChunk(epoch) })

@@ -456,3 +456,128 @@ func TestChaosWarmMissFallsBackToFullResend(t *testing.T) {
 	}
 	requireGapFreeSeq(t, w)
 }
+
+// TestChaosMalformedWarmupChunkDropped pins handleWarmupChunk's contract
+// for chunk frames that do not decode: the node drops them without a
+// msgWarmupAck and without touching the epoch it has buffered, and a
+// stream whose final chunk never decodes leaves the device on the cold
+// path, with the same result and audit as an undisturbed run.
+func TestChaosMalformedWarmupChunkDropped(t *testing.T) {
+	control, capp, cpw := newChaosWorld(t, Config{Seed: 43, Fault: chaosFaults()})
+	want, err := capp.Run("Tiny", "touch", cpw)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w, app, pw := newChaosWorld(t, Config{Seed: 43, Fault: chaosFaults()})
+	d := w.Device
+	// Capture the whole warm-up as chunk frames up front, sending by hand.
+	epoch := app.ep.BeginWarmup()
+	var frames [][]byte
+	for {
+		buf, err := beginWarmupChunk(nil, app.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, buf, err := app.ep.CaptureWarmup(2, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, finishFrame(buf))
+		if c.Final {
+			break
+		}
+	}
+	if len(frames) < 3 {
+		t.Fatalf("warm-up fits in %d chunks; the scenario needs at least 3", len(frames))
+	}
+	// malformed derives chunk frames that keep the framing intact but whose
+	// payload does not decode.
+	malformed := func(f []byte) [][]byte {
+		p := f[frameHeaderLen:]
+		chunk := 1 + int(p[0])
+		badVersion := append([]byte(nil), p...)
+		badVersion[chunk] = 99
+		noApp := append([]byte(nil), p...)
+		noApp[0] = 0
+		return [][]byte{
+			EncodeFrame(msgWarmupChunk, p[:chunk+len(p[chunk:])/2]), // truncated chunk
+			EncodeFrame(msgWarmupChunk, append(append([]byte(nil), p...), 0xAB)),
+			EncodeFrame(msgWarmupChunk, badVersion),
+			EncodeFrame(msgWarmupChunk, noApp),
+			EncodeFrame(msgWarmupChunk, p[:chunk-1]), // app name cut short
+		}
+	}
+	var acks FrameReader
+	// send writes frames on the control connection and returns the warm-up
+	// acks (index:ok) they drew, read off the raw connection.
+	send := func(fs ...[]byte) []string {
+		t.Helper()
+		for _, f := range fs {
+			if err := d.ctrl.Write(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Net.RunFor(time.Second)
+		acks.Feed(d.ctrl.Read())
+		var got []string
+		for {
+			f, ok, err := acks.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return got
+			}
+			_, e, idx, ok2, err := decodeWarmupAck(f.Payload)
+			if f.Type != msgWarmupAck || err != nil || e != epoch {
+				t.Fatalf("unexpected frame on the control connection: type %d, epoch %d, err %v", f.Type, e, err)
+			}
+			got = append(got, fmt.Sprintf("%d:%v", idx, ok2))
+		}
+	}
+
+	if got := send(frames[0]); len(got) != 1 || got[0] != "0:true" {
+		t.Fatalf("chunk 0 acks = %v, want [0:true]", got)
+	}
+	applied := w.Node.Svc.WarmStats().Chunks
+	if got := send(malformed(frames[1])...); len(got) != 0 {
+		t.Fatalf("malformed chunk frames drew acks %v", got)
+	}
+	if n := w.Node.Svc.WarmStats().Chunks; n != applied {
+		t.Fatalf("malformed frames changed the applied-chunk count: %d -> %d", applied, n)
+	}
+	// The buffered epoch is untouched: the stream resumes at chunk 1. A
+	// dropped epoch would refuse it as out of order.
+	last := len(frames) - 1
+	got := send(frames[1:last]...)
+	if len(got) != last-1 {
+		t.Fatalf("resumed stream drew acks %v, want %d", got, last-1)
+	}
+	for i, a := range got {
+		if a != fmt.Sprintf("%d:true", i+1) {
+			t.Fatalf("resumed stream acks = %v", got)
+		}
+	}
+	// The final chunk arrives garbled only: no ack ever arms the warm path.
+	if got := send(malformed(frames[last])...); len(got) != 0 {
+		t.Fatalf("malformed final chunk drew acks %v", got)
+	}
+
+	// Hand the attempt to the app's driver as if it had streamed every
+	// chunk itself; the trigger must wait out the missing final ack and go
+	// cold.
+	app.warmStarted = true
+	app.warmFinalIndex = last
+	res, err := app.Run("Tiny", "touch", pw)
+	if err != nil {
+		t.Fatalf("touch after a malformed warm-up: %v", err)
+	}
+	if res != want {
+		t.Fatalf("result %+v after a malformed warm-up, %+v undisturbed", res, want)
+	}
+	if app.Report.WarmHits != 0 || app.Report.WarmMisses != 0 || app.Report.InitBytes == 0 {
+		t.Fatalf("did not take the cold path: %+v", app.Report)
+	}
+	requireSameAudit(t, w, control)
+}

@@ -222,7 +222,7 @@ func (d *Device) pump() error {
 	if d.ctrl == nil || d.ctrl.Readable() == 0 {
 		return nil
 	}
-	d.ctrlReader.feed(d.ctrl.Read(0))
+	d.ctrlReader.feed(d.ctrl.Read())
 	for {
 		f, ok, err := d.ctrlReader.next()
 		if err != nil {
@@ -277,7 +277,7 @@ func (d *Device) request(f frame) (frame, error) {
 	d.reqSeq++
 	reqID := fmt.Sprintf("%s#%d", d.ID, d.reqSeq)
 	var (
-		tagged frame
+		tagged []byte
 		err    error
 	)
 	if rpc != nil {
@@ -350,12 +350,12 @@ func (d *Device) endRequestSpan(rpc *obs.Span, retries int, err error) {
 	rpc.End()
 }
 
-// roundTrip writes one (tagged) request frame and steps the simulation
-// until the reply, a transport failure, or the per-attempt deadline — a
-// no-op wake event parked at the deadline guarantees RunUntil observes it
-// even when the network has gone completely silent.
-func (d *Device) roundTrip(wire frame, inner uint8) (frame, error) {
-	enc := encodeFrame(wire)
+// roundTrip writes one encoded (tagged) request frame and steps the
+// simulation until the reply, a transport failure, or the per-attempt
+// deadline — a no-op wake event parked at the deadline guarantees RunUntil
+// observes it even when the network has gone completely silent. Write never
+// retains enc, so every retry resends the same bytes.
+func (d *Device) roundTrip(enc []byte, inner uint8) (frame, error) {
 	if err := d.ctrl.Write(enc); err != nil {
 		return frame{}, err
 	}
@@ -473,7 +473,7 @@ func (hc *httpsConn) awaitFrame(n *netsim.Net) (frame, error) {
 	var ferr error
 	ok := n.RunUntil(func() bool {
 		if hc.tcp.Readable() > 0 {
-			r.feed(hc.tcp.Read(0))
+			r.feed(hc.tcp.Read())
 		}
 		f, ok, err := r.next()
 		if err != nil {
@@ -508,7 +508,7 @@ func (hc *httpsConn) awaitRecord(n *netsim.Net) ([]byte, error) {
 	}
 	ok := n.RunUntil(func() bool {
 		if hc.tcp.Readable() > 0 {
-			hc.buf = append(hc.buf, hc.tcp.Read(0)...)
+			hc.buf = append(hc.buf, hc.tcp.Read()...)
 		}
 		return complete() || hc.tcp.Closed()
 	})

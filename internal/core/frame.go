@@ -74,45 +74,93 @@ type Frame struct {
 // frame is the package-internal shorthand.
 type frame = Frame
 
+// frameHeaderLen is the u32 length plus the type byte.
+const frameHeaderLen = 5
+
+// maxFrameLen bounds a frame's declared length (type byte plus payload);
+// anything larger is garbage.
+const maxFrameLen = 64 << 20
+
+// maxFrameAhead bounds how far past the bytes actually received a frame
+// header can make the reader allocate, so a garbage header claiming
+// maxFrameLen costs at most this much until the bytes arrive.
+const maxFrameAhead = 1 << 20
+
 // EncodeFrame produces the wire form of a frame.
 func EncodeFrame(t uint8, payload []byte) []byte {
 	return encodeFrame(frame{Type: t, Payload: payload})
 }
 
 func encodeFrame(f frame) []byte {
-	buf := make([]byte, 5+len(f.Payload))
-	binary.BigEndian.PutUint32(buf, uint32(1+len(f.Payload)))
-	buf[4] = f.Type
-	copy(buf[5:], f.Payload)
+	buf := beginFrame(make([]byte, 0, frameHeaderLen+len(f.Payload)), f.Type)
+	return finishFrame(append(buf, f.Payload...))
+}
+
+// beginFrame appends a frame header whose length finishFrame fills in once
+// the payload has been appended after it. The frame must start at dst[0].
+func beginFrame(dst []byte, t uint8) []byte { return append(dst, 0, 0, 0, 0, t) }
+
+// finishFrame sets the length of the frame that fills buf.
+func finishFrame(buf []byte) []byte {
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
 	return buf
 }
 
-// FrameReader incrementally splits frames out of a TCP byte stream.
+// FrameReader incrementally splits frames out of a TCP byte stream, copying
+// only what it must:
+//
+//   - Feed takes ownership of the slice it is given; the caller must not
+//     touch it afterwards.
+//   - A frame that arrives inside one fed slice is never copied. A frame
+//     that straddles feeds is copied once, into a buffer grown to exactly
+//     that frame's length once its header has been read.
+//   - Payloads returned by Next alias the reader's buffer. They are capped
+//     sub-slices and no later Feed writes over them, so they stay valid for
+//     as long as the caller holds them.
 type FrameReader struct {
-	buf []byte
+	buf []byte // unconsumed bytes; spare capacity beyond len is the reader's
 }
 
-// Feed appends newly received bytes.
-func (r *FrameReader) Feed(b []byte) { r.buf = append(r.buf, b...) }
+// Feed hands newly received bytes to the reader, which takes ownership.
+func (r *FrameReader) Feed(b []byte) {
+	if len(r.buf) == 0 {
+		r.buf = b
+		return
+	}
+	if held := len(r.buf) + len(b); held > cap(r.buf) {
+		size := held
+		if len(r.buf) >= 4 {
+			if end := 4 + int(binary.BigEndian.Uint32(r.buf)); end > size {
+				size = min(end, held+maxFrameAhead)
+			}
+		}
+		grown := make([]byte, len(r.buf), size)
+		copy(grown, r.buf)
+		r.buf = grown
+	}
+	r.buf = append(r.buf, b...)
+}
 
-// Rest returns the unconsumed buffered bytes (used when a stream switches
-// from framed handshake messages to self-delimiting TLS records).
+// Rest returns a copy of the unconsumed buffered bytes (used when a stream
+// switches from framed handshake messages to self-delimiting TLS records).
 func (r *FrameReader) Rest() []byte { return append([]byte(nil), r.buf...) }
 
-// Next extracts one complete frame, or returns false.
+// Next extracts one complete frame, or returns false. The payload aliases
+// the reader's buffer (see FrameReader).
 func (r *FrameReader) Next() (Frame, bool, error) {
 	if len(r.buf) < 4 {
 		return Frame{}, false, nil
 	}
 	n := binary.BigEndian.Uint32(r.buf)
-	if n == 0 || n > 64<<20 {
+	if n == 0 || n > maxFrameLen {
 		return Frame{}, false, fmt.Errorf("core: implausible frame length %d", n)
 	}
-	if len(r.buf) < 4+int(n) {
+	end := 4 + int(n)
+	if len(r.buf) < end {
 		return Frame{}, false, nil
 	}
-	f := Frame{Type: r.buf[4], Payload: append([]byte(nil), r.buf[5:4+n]...)}
-	r.buf = append([]byte(nil), r.buf[4+n:]...)
+	f := Frame{Type: r.buf[4], Payload: r.buf[frameHeaderLen:end:end]}
+	r.buf = r.buf[end:]
 	return f, true, nil
 }
 
@@ -127,35 +175,32 @@ func sendFrame(c *tcpsim.Conn, f frame) error {
 	return c.Write(encodeFrame(f))
 }
 
-// encodeTagged wraps an inner request frame with a request ID for
-// at-most-once delivery. IDs are device-minted and at most 255 bytes.
-func encodeTagged(id string, f frame) (frame, error) {
+// encodeTagged builds the wire frame wrapping an inner request with a
+// request ID for at-most-once delivery. IDs are device-minted and at most
+// 255 bytes.
+func encodeTagged(id string, f frame) ([]byte, error) {
 	if len(id) == 0 || len(id) > 255 {
-		return frame{}, fmt.Errorf("core: tagged request ID length %d out of range", len(id))
+		return nil, fmt.Errorf("core: tagged request ID length %d out of range", len(id))
 	}
-	p := make([]byte, 0, 2+len(id)+len(f.Payload))
-	p = append(p, byte(len(id)))
-	p = append(p, id...)
-	p = append(p, f.Type)
-	p = append(p, f.Payload...)
-	return frame{Type: msgTagged, Payload: p}, nil
+	buf := beginFrame(make([]byte, 0, frameHeaderLen+2+len(id)+len(f.Payload)), msgTagged)
+	buf = append(buf, byte(len(id)))
+	buf = append(buf, id...)
+	buf = append(buf, f.Type)
+	return finishFrame(append(buf, f.Payload...)), nil
 }
 
 // encodeTaggedTrace is encodeTagged carrying the requesting span's identity.
-func encodeTaggedTrace(id string, trace obs.TraceID, span obs.SpanID, f frame) (frame, error) {
+func encodeTaggedTrace(id string, trace obs.TraceID, span obs.SpanID, f frame) ([]byte, error) {
 	if len(id) == 0 || len(id) > 255 {
-		return frame{}, fmt.Errorf("core: tagged request ID length %d out of range", len(id))
+		return nil, fmt.Errorf("core: tagged request ID length %d out of range", len(id))
 	}
-	p := make([]byte, 0, 18+len(id)+len(f.Payload))
-	p = append(p, byte(len(id)))
-	p = append(p, id...)
-	var ids [16]byte
-	binary.BigEndian.PutUint64(ids[:8], uint64(trace))
-	binary.BigEndian.PutUint64(ids[8:], uint64(span))
-	p = append(p, ids[:]...)
-	p = append(p, f.Type)
-	p = append(p, f.Payload...)
-	return frame{Type: msgTaggedTrace, Payload: p}, nil
+	buf := beginFrame(make([]byte, 0, frameHeaderLen+18+len(id)+len(f.Payload)), msgTaggedTrace)
+	buf = append(buf, byte(len(id)))
+	buf = append(buf, id...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(trace))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(span))
+	buf = append(buf, f.Type)
+	return finishFrame(append(buf, f.Payload...)), nil
 }
 
 // decodeTaggedTrace unwraps a msgTaggedTrace payload into the request ID,
@@ -171,23 +216,23 @@ func decodeTaggedTrace(payload []byte) (string, obs.TraceID, obs.SpanID, frame, 
 	id := string(payload[1 : 1+n])
 	trace := obs.TraceID(binary.BigEndian.Uint64(payload[1+n:]))
 	span := obs.SpanID(binary.BigEndian.Uint64(payload[9+n:]))
-	inner := frame{Type: payload[17+n], Payload: append([]byte(nil), payload[18+n:]...)}
+	inner := frame{Type: payload[17+n], Payload: payload[18+n:]}
 	return id, trace, span, inner, nil
 }
 
-// encodeWarmupChunk builds a msgWarmupChunk frame: u8 appLen | app | chunk.
-func encodeWarmupChunk(app string, chunk []byte) (frame, error) {
+// beginWarmupChunk starts a msgWarmupChunk frame (u8 appLen | app | chunk)
+// in dst, ready for the chunk's encoding to be appended straight after it
+// and the frame closed with finishFrame.
+func beginWarmupChunk(dst []byte, app string) ([]byte, error) {
 	if len(app) == 0 || len(app) > 255 {
-		return frame{}, fmt.Errorf("core: warmup app name length %d out of range", len(app))
+		return nil, fmt.Errorf("core: warmup app name length %d out of range", len(app))
 	}
-	p := make([]byte, 0, 1+len(app)+len(chunk))
-	p = append(p, byte(len(app)))
-	p = append(p, app...)
-	p = append(p, chunk...)
-	return frame{Type: msgWarmupChunk, Payload: p}, nil
+	dst = append(beginFrame(dst, msgWarmupChunk), byte(len(app)))
+	return append(dst, app...), nil
 }
 
-// decodeWarmupChunk splits a msgWarmupChunk payload.
+// decodeWarmupChunk splits a msgWarmupChunk payload; the chunk bytes alias
+// the payload.
 func decodeWarmupChunk(payload []byte) (string, []byte, error) {
 	if len(payload) < 2 {
 		return "", nil, fmt.Errorf("core: short warmup chunk frame")
@@ -196,8 +241,7 @@ func decodeWarmupChunk(payload []byte) (string, []byte, error) {
 	if n == 0 || len(payload) < 1+n {
 		return "", nil, fmt.Errorf("core: truncated warmup chunk app name")
 	}
-	app := string(payload[1 : 1+n])
-	return app, append([]byte(nil), payload[1+n:]...), nil
+	return string(payload[1 : 1+n]), payload[1+n:], nil
 }
 
 // encodeWarmupAck builds a msgWarmupAck frame: u8 appLen | app | u64 epoch |
@@ -245,6 +289,6 @@ func decodeTagged(payload []byte) (string, frame, error) {
 		return "", frame{}, fmt.Errorf("core: truncated tagged frame ID")
 	}
 	id := string(payload[1 : 1+n])
-	inner := frame{Type: payload[1+n], Payload: append([]byte(nil), payload[2+n:]...)}
+	inner := frame{Type: payload[1+n], Payload: payload[2+n:]}
 	return id, inner, nil
 }

@@ -190,7 +190,7 @@ func (n *TrustedNode) HandoffTo(dst *TrustedNode, deviceID string) error {
 func (n *TrustedNode) onControlConn(c *tcpsim.Conn) {
 	reader := &frameReader{}
 	c.OnReadable = func() {
-		reader.feed(c.Read(0))
+		reader.feed(c.Read())
 		for {
 			f, ok, err := reader.next()
 			if err != nil {
@@ -339,13 +339,10 @@ func (n *TrustedNode) dispatch(r replyRoute, f frame) {
 // out of band (msgWarmupAck is routed to the device's warm-up driver, never
 // into the request/reply queue). The chunk is fire-and-forget on the device
 // side, so a malformed frame is simply dropped — the warm-up degrades to the
-// cold path on its own.
+// cold path on its own. The service decodes the chunk (once) and hands back
+// the epoch and index the ack names; epoch 0 means it did not decode.
 func (n *TrustedNode) handleWarmupChunk(r replyRoute, payload []byte) {
 	app, chunkBytes, err := decodeWarmupChunk(payload)
-	if err != nil {
-		return
-	}
-	c, err := dsm.DecodeWarmupChunk(chunkBytes)
 	if err != nil {
 		return
 	}
@@ -354,7 +351,12 @@ func (n *TrustedNode) handleWarmupChunk(r replyRoute, payload []byte) {
 		trace, parent, _ := tr.Current()
 		span = tr.StartRemote(obs.PhaseDSMWarmup, trace, parent, obs.Bytes(len(chunkBytes)))
 	}
-	serr := n.Svc.WarmupChunk(obs.ContextWithSpan(context.Background(), span), n.appDevice[app], app, chunkBytes)
+	epoch, index, serr := n.Svc.WarmupChunk(obs.ContextWithSpan(context.Background(), span), n.appDevice[app], app, chunkBytes)
+	if epoch == 0 {
+		span.Add(obs.Outcome(false))
+		span.End()
+		return
+	}
 	// Applying the chunk costs node-side deserialization time; it delays only
 	// the ack, never a foreground request (the event loop interleaves).
 	delay := time.Duration(int64(len(chunkBytes)) * n.w.Cost.SerializeNsPerByte)
@@ -363,7 +365,7 @@ func (n *TrustedNode) handleWarmupChunk(r replyRoute, payload []byte) {
 		span.EndAt(n.w.Net.Now() + delay)
 	}
 	n.w.Net.Schedule(delay, func() {
-		if err := sendFrame(r.conn, encodeWarmupAck(app, c.Epoch, c.Index, serr == nil)); err != nil && r.conn.Established() {
+		if err := sendFrame(r.conn, encodeWarmupAck(app, epoch, index, serr == nil)); err != nil && r.conn.Established() {
 			r.conn.Abort()
 		}
 	})

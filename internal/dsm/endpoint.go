@@ -232,9 +232,10 @@ func (e *Endpoint) CaptureMigration(t *vm.Thread, reason vm.StopReason) (*Migrat
 		}
 	}
 
-	// Accounting. EncodedSize avoids allocating a throwaway encode: the real
-	// wire bytes are produced by the transport's own Encode call.
-	wire := m.EncodedSize()
+	// Accounting: the encoded size before the caller stamps TriggerTag. The
+	// pooled working buffer absorbs the bytes; the transport encodes the
+	// wire form itself once the migration is final.
+	wire := encodedLen(m.AppendEncode)
 	e.Stats.Syncs++
 	e.Stats.ObjectsSent += len(m.Objects)
 	if m.Initial {

@@ -44,14 +44,15 @@ func TestServerOnlyNeverShipsDifferential(t *testing.T) {
 		}
 		var objs []ObjectState
 		for {
-			c, err := p.dev.CaptureWarmup(4)
+			var c *WarmupChunk
+			var err error
+			c, wire, err = p.dev.CaptureWarmup(4, wire)
 			if err != nil {
 				t.Fatalf("capture warmup: %v", err)
 			}
 			if c == nil {
 				break
 			}
-			wire = append(wire, c.Encode()...)
 			objs = append(objs, c.Objects...)
 			if c.Final {
 				break

@@ -43,29 +43,10 @@ type WarmupChunk struct {
 	Objects []ObjectState
 }
 
-// Encode serializes the chunk to its wire form (pooled working buffer,
-// exact-size result, like Migration.Encode).
-func (c *WarmupChunk) Encode() []byte {
-	e := encPool.Get().(*encoder)
-	e.buf = e.buf[:0]
-	c.encodeInto(e)
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	encPool.Put(e)
-	return out
-}
-
-// EncodedSize returns len(c.Encode()) without allocating the result.
-func (c *WarmupChunk) EncodedSize() int {
-	e := encPool.Get().(*encoder)
-	e.buf = e.buf[:0]
-	c.encodeInto(e)
-	n := len(e.buf)
-	encPool.Put(e)
-	return n
-}
-
-func (c *WarmupChunk) encodeInto(e *encoder) {
+// AppendEncode appends the chunk's wire form to dst and returns the extended
+// slice. Into a buffer with enough capacity it does not allocate.
+func (c *WarmupChunk) AppendEncode(dst []byte) []byte {
+	e := encoder{buf: dst}
 	e.u8(wireVersion)
 	e.u64(c.Epoch)
 	e.u64(uint64(c.Index))
@@ -74,7 +55,11 @@ func (c *WarmupChunk) encodeInto(e *encoder) {
 	for i := range c.Objects {
 		e.object(&c.Objects[i])
 	}
+	return e.buf
 }
+
+// Encode serializes the chunk to a freshly allocated, exact-size slice.
+func (c *WarmupChunk) Encode() []byte { return encodeExact(c.AppendEncode) }
 
 // DecodeWarmupChunk parses a wire-form warm-up chunk with the same guards as
 // DecodeMigration: truncation, implausible counts, trailing bytes.
@@ -127,10 +112,10 @@ type warmupSend struct {
 // reference objects in later chunks and a torn warm-up leaves the heap
 // untouched.
 type warmupRecv struct {
-	epoch uint64
-	next  int // expected next chunk index
-	objs  []ObjectState
-	ready bool
+	epoch  uint64
+	next   int             // expected next chunk index
+	chunks [][]ObjectState // each buffered chunk's objects, in index order
+	ready  bool
 }
 
 // BeginWarmup starts a speculative warm-up attempt on the sending side,
@@ -151,13 +136,15 @@ func (e *Endpoint) BeginWarmup() uint64 {
 }
 
 // CaptureWarmup emits the next chunk of the active warm-up, covering at most
-// maxObjs objects, or nil when every chunk has been emitted. The chunk
+// maxObjs objects, or nil when every chunk has been emitted. It appends the
+// chunk's wire form to dst and returns the extended slice: the chunk is
+// encoded exactly once, and WarmupBytes counts that encoding. The chunk
 // captures each object's state as of this call; later mutations surface in
 // the trigger-time delta via the Version record.
-func (e *Endpoint) CaptureWarmup(maxObjs int) (*WarmupChunk, error) {
+func (e *Endpoint) CaptureWarmup(maxObjs int, dst []byte) (*WarmupChunk, []byte, error) {
 	w := e.warm
 	if w == nil || w.sent {
-		return nil, nil
+		return nil, dst, nil
 	}
 	if maxObjs <= 0 {
 		maxObjs = 64
@@ -179,7 +166,7 @@ func (e *Endpoint) CaptureWarmup(maxObjs int) (*WarmupChunk, error) {
 		os, err := e.encodeObject(o)
 		if err != nil {
 			e.AbortWarmup()
-			return nil, err
+			return nil, dst, err
 		}
 		c.Objects = append(c.Objects, os)
 		w.shipped[o.ID] = o.Version
@@ -190,9 +177,10 @@ func (e *Endpoint) CaptureWarmup(maxObjs int) (*WarmupChunk, error) {
 		c.Final = true
 		w.sent = true
 	}
+	wire := c.AppendEncode(dst)
 	e.Stats.WarmupChunks++
-	e.Stats.WarmupBytes += c.EncodedSize()
-	return c, nil
+	e.Stats.WarmupBytes += len(wire) - len(dst)
+	return c, wire, nil
 }
 
 // WarmupAcked records the node's acknowledgement of the Final chunk: only
@@ -247,27 +235,31 @@ func (e *Endpoint) ApplyWarmupChunk(c *WarmupChunk) error {
 			}
 		}
 	}
-	r.objs = append(r.objs, c.Objects...)
+	r.chunks = append(r.chunks, c.Objects)
 	r.next++
 	if !c.Final {
 		return nil
 	}
 	// Final chunk: adopt shells first so references resolve, then fill.
-	for i := range r.objs {
-		if err := e.adoptObject(&r.objs[i]); err != nil {
-			e.warmRecv = nil
-			return err
+	for _, objs := range r.chunks {
+		for i := range objs {
+			if err := e.adoptObject(&objs[i]); err != nil {
+				e.warmRecv = nil
+				return err
+			}
 		}
 	}
-	for i := range r.objs {
-		if err := e.fillObject(&r.objs[i]); err != nil {
-			e.warmRecv = nil
-			return err
+	for _, objs := range r.chunks {
+		for i := range objs {
+			if err := e.fillObject(&objs[i]); err != nil {
+				e.warmRecv = nil
+				return err
+			}
 		}
 	}
 	// Adopted peer state is not locally dirty (same rule as ApplyMigration).
 	e.VM.Heap.ClearDirty()
-	r.objs = nil
+	r.chunks = nil
 	r.ready = true
 	return nil
 }

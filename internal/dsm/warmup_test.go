@@ -18,14 +18,14 @@ func shipWarmup(t *testing.T, p *pair, maxObjs int) uint64 {
 		t.Fatal("warm-up refused: initial sync already sent")
 	}
 	for {
-		c, err := p.dev.CaptureWarmup(maxObjs)
+		c, wire, err := p.dev.CaptureWarmup(maxObjs, nil)
 		if err != nil {
 			t.Fatalf("capture warmup: %v", err)
 		}
 		if c == nil {
 			break
 		}
-		decoded, err := DecodeWarmupChunk(c.Encode())
+		decoded, err := DecodeWarmupChunk(wire)
 		if err != nil {
 			t.Fatalf("warmup wire: %v", err)
 		}
@@ -166,9 +166,9 @@ func TestWarmupOutOfOrderRejected(t *testing.T) {
 		p.devVM.NewString("x")
 	}
 	p.dev.BeginWarmup()
-	c0, _ := p.dev.CaptureWarmup(5)
-	c1, _ := p.dev.CaptureWarmup(5)
-	c2, _ := p.dev.CaptureWarmup(5)
+	c0, _, _ := p.dev.CaptureWarmup(5, nil)
+	c1, _, _ := p.dev.CaptureWarmup(5, nil)
+	c2, _, _ := p.dev.CaptureWarmup(5, nil)
 
 	// Index gap: 0 then 2.
 	if err := p.node.ApplyWarmupChunk(c0); err != nil {
@@ -206,7 +206,7 @@ func TestTornWarmupLeavesHeapUntouched(t *testing.T) {
 	}
 	before := p.nodeVM.Heap.Len()
 	p.dev.BeginWarmup()
-	c0, _ := p.dev.CaptureWarmup(5)
+	c0, _, _ := p.dev.CaptureWarmup(5, nil)
 	if err := p.node.ApplyWarmupChunk(c0); err != nil {
 		t.Fatal(err)
 	}
@@ -310,9 +310,9 @@ func TestWarmupChunkWireRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestEncoderPoolAllocs is the regression guard for the pooled encode path:
-// EncodedSize must not allocate at all, and Encode exactly once (the
-// returned exact-size buffer).
+// TestEncoderPoolAllocs is the regression guard for the encode paths:
+// AppendEncode into a presized buffer must not allocate at all, and Encode
+// exactly once (the returned exact-size buffer).
 func TestEncoderPoolAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates sync.Pool allocation counts")
@@ -325,18 +325,56 @@ func TestEncoderPoolAllocs(t *testing.T) {
 		})
 	}
 	c := &WarmupChunk{Epoch: 1, Final: true, Objects: m.Objects}
-	m.Encode() // prime the pool
-	if n := testing.AllocsPerRun(50, func() { m.EncodedSize() }); n != 0 {
-		t.Errorf("Migration.EncodedSize allocates %.1f/op, want 0", n)
+	buf := make([]byte, 0, 2*len(m.Encode()))
+	if n := testing.AllocsPerRun(50, func() { m.AppendEncode(buf[:0]) }); n != 0 {
+		t.Errorf("Migration.AppendEncode into a presized buffer allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() { m.Encode() }); n > 1 {
 		t.Errorf("Migration.Encode allocates %.1f/op, want <=1", n)
 	}
-	if n := testing.AllocsPerRun(50, func() { c.EncodedSize() }); n != 0 {
-		t.Errorf("WarmupChunk.EncodedSize allocates %.1f/op, want 0", n)
+	if n := testing.AllocsPerRun(50, func() { c.AppendEncode(buf[:0]) }); n != 0 {
+		t.Errorf("WarmupChunk.AppendEncode into a presized buffer allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() { c.Encode() }); n > 1 {
 		t.Errorf("WarmupChunk.Encode allocates %.1f/op, want <=1", n)
+	}
+}
+
+// CaptureWarmup appends each chunk's one encoding after whatever the caller
+// already put in dst (a frame header), and WarmupBytes counts exactly the
+// chunk's bytes.
+func TestCaptureWarmupAppendsWireOnce(t *testing.T) {
+	p := newPair(t, bankSrc)
+	for i := 0; i < 12; i++ {
+		p.devVM.NewString("appended")
+	}
+	p.dev.BeginWarmup()
+	prefix := []byte("HDR")
+	total := 0
+	for {
+		c, wire, err := p.dev.CaptureWarmup(5, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil {
+			if string(wire) != "HDR" {
+				t.Fatalf("exhausted capture changed dst: %q", wire)
+			}
+			break
+		}
+		if string(wire[:3]) != "HDR" {
+			t.Fatalf("chunk %d: prefix clobbered: %q", c.Index, wire[:3])
+		}
+		if got, want := wire[3:], c.Encode(); string(got) != string(want) {
+			t.Fatalf("chunk %d: appended wire differs from Encode", c.Index)
+		}
+		total += len(wire) - 3
+		if c.Final {
+			break
+		}
+	}
+	if p.dev.Stats.WarmupBytes != total {
+		t.Fatalf("WarmupBytes = %d, want the %d bytes encoded", p.dev.Stats.WarmupBytes, total)
 	}
 }
 
@@ -349,7 +387,7 @@ func TestWarmupChunkNeverCarriesTaintedContent(t *testing.T) {
 	ph.CorID = rec.ID
 	p.dev.BeginWarmup()
 	for {
-		c, err := p.dev.CaptureWarmup(4)
+		c, _, err := p.dev.CaptureWarmup(4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,8 +106,14 @@ func (m *Migration) ObsFields() []obs.Field {
 
 type encoder struct{ buf []byte }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) b(v bool)     { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
+func (e *encoder) b(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
 func (e *encoder) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *encoder) i64(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
 func (e *encoder) f64(v float64) {
@@ -176,14 +182,36 @@ func (e *encoder) frame(f *FrameState) {
 	}
 }
 
-// encPool recycles encoders across Encode/EncodedSize calls. A migration is
-// encoded twice on the hot path (once for accounting, once for the wire), so
-// the capacity an encoder grew to on one sync is exactly what the next one
-// needs — pooling turns the per-sync slice growth into a single exact-size
-// copy for Encode and zero allocations for EncodedSize.
+// encPool recycles the working buffers behind Encode: the capacity one
+// encode grew to is what the next one needs, so Encode costs a single
+// exact-size copy.
 var encPool = sync.Pool{New: func() any { return &encoder{buf: make([]byte, 0, 512)} }}
 
-func (m *Migration) encodeInto(e *encoder) {
+// encodeExact runs an append-style encoder through a pooled working buffer
+// and returns an exact-size copy of the result.
+func encodeExact(appendEncode func([]byte) []byte) []byte {
+	e := encPool.Get().(*encoder)
+	e.buf = appendEncode(e.buf[:0])
+	out := make([]byte, len(e.buf))
+	copy(out, e.buf)
+	encPool.Put(e)
+	return out
+}
+
+// encodedLen returns the length of an append-style encoding without
+// keeping it: the pooled working buffer absorbs the bytes.
+func encodedLen(appendEncode func([]byte) []byte) int {
+	e := encPool.Get().(*encoder)
+	e.buf = appendEncode(e.buf[:0])
+	n := len(e.buf)
+	encPool.Put(e)
+	return n
+}
+
+// AppendEncode appends the migration's wire form to dst and returns the
+// extended slice. Into a buffer with enough capacity it does not allocate.
+func (m *Migration) AppendEncode(dst []byte) []byte {
+	e := encoder{buf: dst}
 	e.u8(wireVersion)
 	e.u64(m.Seq)
 	e.u8(uint8(m.Reason))
@@ -199,30 +227,11 @@ func (m *Migration) encodeInto(e *encoder) {
 	for i := range m.Objects {
 		e.object(&m.Objects[i])
 	}
+	return e.buf
 }
 
-// Encode serializes the migration to its wire form. The returned slice is
-// freshly allocated at exact size; the working buffer is pooled.
-func (m *Migration) Encode() []byte {
-	e := encPool.Get().(*encoder)
-	e.buf = e.buf[:0]
-	m.encodeInto(e)
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	encPool.Put(e)
-	return out
-}
-
-// EncodedSize returns len(m.Encode()) without allocating the result: the
-// byte-accounting path (SyncStats) only needs the size.
-func (m *Migration) EncodedSize() int {
-	e := encPool.Get().(*encoder)
-	e.buf = e.buf[:0]
-	m.encodeInto(e)
-	n := len(e.buf)
-	encPool.Put(e)
-	return n
-}
+// Encode serializes the migration to a freshly allocated, exact-size slice.
+func (m *Migration) Encode() []byte { return encodeExact(m.AppendEncode) }
 
 // --- decoder ---
 

@@ -102,11 +102,11 @@ func (d *devHalf) warmup(t testing.TB, svc *node.Service) uint64 {
 		t.Fatal("BeginWarmup refused on a fresh endpoint")
 	}
 	for {
-		c, err := d.ep.CaptureWarmup(4)
+		c, wire, err := d.ep.CaptureWarmup(4, nil)
 		if err != nil {
 			t.Fatalf("CaptureWarmup: %v", err)
 		}
-		if err := svc.WarmupChunk(context.Background(), d.id, "login", c.Encode()); err != nil {
+		if _, _, err := svc.WarmupChunk(context.Background(), d.id, "login", wire); err != nil {
 			t.Fatalf("WarmupChunk: %v", err)
 		}
 		if c.Final {

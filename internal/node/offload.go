@@ -200,7 +200,20 @@ type OffloadResult struct {
 // node; the offload-time policy checks still gate any *use* of the warmed
 // state. Any ordering or apply error drops the buffered epoch and surfaces
 // to the sender, which falls back to the cold path.
-func (s *Service) WarmupChunk(ctx context.Context, deviceID, appName string, chunkBytes []byte) error {
+//
+// The chunk is decoded exactly once, here, and its epoch and index are
+// returned whenever it decodes — even when applying it fails — so a
+// transport can acknowledge (or refuse) it without parsing it again. A chunk
+// that does not decode returns epoch 0, which no valid chunk carries.
+func (s *Service) WarmupChunk(ctx context.Context, deviceID, appName string, chunkBytes []byte) (epoch uint64, index int, err error) {
+	c, err := dsm.DecodeWarmupChunk(chunkBytes)
+	if err != nil {
+		return 0, 0, badRequest(err)
+	}
+	return c.Epoch, c.Index, s.applyWarmupChunk(ctx, deviceID, appName, c, len(chunkBytes))
+}
+
+func (s *Service) applyWarmupChunk(ctx context.Context, deviceID, appName string, c *dsm.WarmupChunk, wireLen int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -216,14 +229,10 @@ func (s *Service) WarmupChunk(ctx context.Context, deviceID, appName string, chu
 	if err != nil {
 		return err
 	}
-	c, err := dsm.DecodeWarmupChunk(chunkBytes)
-	if err != nil {
-		return badRequest(err)
-	}
 	var span *obs.Span
 	if parent := obs.SpanFromContext(ctx); parent != nil {
 		span = parent.Child(obs.PhaseDSMWarmup,
-			obs.App(app.hash), obs.Count(int64(len(c.Objects))), obs.Bytes(len(chunkBytes)))
+			obs.App(app.hash), obs.Count(int64(len(c.Objects))), obs.Bytes(wireLen))
 	}
 	app.runMu.Lock()
 	defer app.runMu.Unlock()

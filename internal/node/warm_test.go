@@ -20,11 +20,11 @@ func (d *deviceHalf) warmup(t testing.TB, svc *Service) uint64 {
 		t.Fatal("BeginWarmup refused on a fresh endpoint")
 	}
 	for {
-		c, err := d.ep.CaptureWarmup(4)
+		c, wire, err := d.ep.CaptureWarmup(4, nil)
 		if err != nil {
 			t.Fatalf("CaptureWarmup: %v", err)
 		}
-		if err := svc.WarmupChunk(context.Background(), d.id, "login", c.Encode()); err != nil {
+		if _, _, err := svc.WarmupChunk(context.Background(), d.id, "login", wire); err != nil {
 			t.Fatalf("WarmupChunk: %v", err)
 		}
 		if c.Final {
@@ -233,11 +233,11 @@ func TestColdInitialInvalidatesBufferedWarmup(t *testing.T) {
 	if dev.ep.BeginWarmup() == 0 {
 		t.Fatal("BeginWarmup refused")
 	}
-	c, err := dev.ep.CaptureWarmup(1)
+	_, wire, err := dev.ep.CaptureWarmup(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.WarmupChunk(ctx, "dev-1", "login", c.Encode()); err != nil {
+	if _, _, err := svc.WarmupChunk(ctx, "dev-1", "login", wire); err != nil {
 		t.Fatal(err)
 	}
 	dev.ep.ResetWarmup()

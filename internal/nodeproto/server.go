@@ -693,7 +693,7 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 		if len(req.Chunk) == 0 {
 			return fail("dsm_warmup requires chunk")
 		}
-		if err := s.Svc.WarmupChunk(ctx, req.DeviceID, req.App, req.Chunk); err != nil {
+		if _, _, err := s.Svc.WarmupChunk(ctx, req.DeviceID, req.App, req.Chunk); err != nil {
 			return errResponse(err)
 		}
 		return &Response{OK: true}

@@ -56,18 +56,17 @@ func (c *Conn) Readable() int { return len(c.recvBuf) }
 // PeerClosed reports whether the peer sent FIN (EOF after draining).
 func (c *Conn) PeerClosed() bool { return c.peerFin }
 
-// Read drains up to max buffered bytes (all of them if max <= 0).
-func (c *Conn) Read(max int) []byte {
-	n := len(c.recvBuf)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := c.recvBuf[:n]
-	c.recvBuf = append([]byte(nil), c.recvBuf[n:]...)
+// Read drains every buffered byte. The returned slice is handed over: the
+// connection never touches it again, so the caller may keep or modify it.
+func (c *Conn) Read() []byte {
+	out := c.recvBuf
+	c.recvBuf = nil
 	return out
 }
 
-// Write queues data on the connection, segmenting at MSS.
+// Write queues data on the connection, segmenting at MSS. Each MSS slice is
+// copied once, straight into its wire packet; Write never retains b, so the
+// caller may reuse it as soon as Write returns.
 func (c *Conn) Write(b []byte) error {
 	if !c.Established() {
 		return fmt.Errorf("tcpsim: write on %v connection", c.state)
@@ -77,7 +76,7 @@ func (c *Conn) Write(b []byte) error {
 		if n > MSS {
 			n = MSS
 		}
-		c.sendData(b[:n])
+		c.sendFlags(FlagACK|FlagPSH, b[:n])
 		b = b[n:]
 	}
 	return nil
@@ -111,8 +110,9 @@ func (c *Conn) teardown() {
 	delete(c.stack.conns, c.key)
 }
 
-// sendFlags transmits a control segment, consuming one sequence number for
-// SYN and FIN.
+// sendFlags transmits a segment, consuming one sequence number for SYN and
+// FIN. The payload is copied into the encoded packet, and the segment kept
+// for retransmission points at that copy, never at the caller's bytes.
 func (c *Conn) sendFlags(flags uint8, payload []byte) {
 	seg := &Segment{
 		SrcPort: c.key.localPort,
@@ -128,14 +128,12 @@ func (c *Conn) sendFlags(flags uint8, payload []byte) {
 		consumed++
 	}
 	c.sndNxt += consumed
+	pkt := seg.Encode(c.stack.host.Addr(), c.remoteAddr)
+	seg.Payload = pkt[segHeaderLen:]
 	if consumed > 0 {
 		c.track(seg)
 	}
-	c.stack.sendSegment(c.remoteAddr, seg)
-}
-
-func (c *Conn) sendData(b []byte) {
-	c.sendFlags(FlagACK|FlagPSH, append([]byte(nil), b...))
+	c.stack.transmit(c.remoteAddr, seg, pkt)
 }
 
 // track adds a sequence-consuming segment to the retransmission queue.
@@ -170,8 +168,11 @@ func (c *Conn) onRTO() {
 		c.armRTO()
 		return
 	}
+	// Refresh the cumulative ack and re-encode into a fresh packet: the
+	// original one belongs to netsim (and possibly a receiver) and is never
+	// written again.
 	seg := c.inFlight[0]
-	seg.Ack = c.rcvNxt // refresh cumulative ack
+	seg.Ack = c.rcvNxt
 	c.stack.sendSegment(c.remoteAddr, seg)
 	if c.rtoBackoff < 4 {
 		c.rtoBackoff++
@@ -261,17 +262,21 @@ func (c *Conn) ackUpTo(ack uint32) {
 		c.sndUna = ack
 		c.rtoBackoff = 0
 	}
-	keep := c.inFlight[:0]
+	// inFlight is in sequence order and acks are cumulative, so the
+	// acknowledged segments are a prefix.
+	n := 0
 	for _, seg := range c.inFlight {
 		end := seg.Seq + uint32(len(seg.Payload))
 		if seg.Flags&(FlagSYN|FlagFIN) != 0 {
 			end++
 		}
 		if seqLess(ack, end) {
-			keep = append(keep, seg)
+			break
 		}
+		n++
 	}
-	c.inFlight = keep
+	clear(c.inFlight[:n])
+	c.inFlight = c.inFlight[n:]
 }
 
 // seqLess compares sequence numbers with wraparound (RFC 1982 style).

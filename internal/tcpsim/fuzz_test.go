@@ -15,7 +15,13 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Add([]byte("a"), []byte("b"), valid[:10])
 	f.Add([]byte(""), []byte(""), []byte{})
 	f.Fuzz(func(t *testing.T, src, dst, data []byte) {
+		orig := append([]byte(nil), data...)
 		got, err := DecodeSegment(string(src), string(dst), data)
+		// Decoding verifies the checksum in place: the input must come
+		// back byte for byte, accepted or not.
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("DecodeSegment modified its input: %x, was %x", data, orig)
+		}
 		if err != nil {
 			return
 		}

@@ -64,8 +64,8 @@ func (s *Segment) String() string {
 	return fmt.Sprintf("tcp %d->%d %s seq=%d ack=%d len=%d", s.SrcPort, s.DstPort, s.flagString(), s.Seq, s.Ack, len(s.Payload))
 }
 
-// Encode serializes the segment, computing the checksum over the
-// pseudo-header (src, dst) and the segment bytes.
+// Encode serializes the segment into a fresh packet, computing the checksum
+// over the pseudo-header (src, dst) and the segment bytes.
 func (s *Segment) Encode(src, dst string) []byte {
 	buf := make([]byte, segHeaderLen+len(s.Payload))
 	binary.BigEndian.PutUint16(buf[0:], s.SrcPort)
@@ -74,7 +74,6 @@ func (s *Segment) Encode(src, dst string) []byte {
 	binary.BigEndian.PutUint32(buf[8:], s.Ack)
 	buf[12] = s.Flags
 	binary.BigEndian.PutUint16(buf[13:], s.Window)
-	// checksum at [15:17], zero during computation
 	copy(buf[segHeaderLen:], s.Payload)
 	ck := checksum(src, dst, buf)
 	binary.BigEndian.PutUint16(buf[15:], ck)
@@ -83,6 +82,7 @@ func (s *Segment) Encode(src, dst string) []byte {
 }
 
 // DecodeSegment parses and verifies a segment received between src and dst.
+// It neither copies nor modifies buf: the returned Payload aliases it.
 func DecodeSegment(src, dst string, buf []byte) (*Segment, error) {
 	if len(buf) < segHeaderLen {
 		return nil, fmt.Errorf("tcpsim: segment too short (%d bytes)", len(buf))
@@ -95,34 +95,42 @@ func DecodeSegment(src, dst string, buf []byte) (*Segment, error) {
 		Flags:    buf[12],
 		Window:   binary.BigEndian.Uint16(buf[13:]),
 		Checksum: binary.BigEndian.Uint16(buf[15:]),
-		Payload:  append([]byte(nil), buf[segHeaderLen:]...),
+		Payload:  buf[segHeaderLen:],
 	}
-	check := make([]byte, len(buf))
-	copy(check, buf)
-	check[15], check[16] = 0, 0
-	if got := checksum(src, dst, check); got != s.Checksum {
+	if got := checksum(src, dst, buf); got != s.Checksum {
 		return nil, fmt.Errorf("tcpsim: checksum mismatch: header %#04x, computed %#04x", s.Checksum, got)
 	}
 	return s, nil
 }
 
 // checksum is a 16-bit ones'-complement sum over the pseudo-header and
-// segment, in the spirit of RFC 1071.
+// segment, in the spirit of RFC 1071. The segment's own checksum field
+// (bytes 15-16) counts as zero whatever it holds, so the sum can be
+// verified in place.
 func checksum(src, dst string, seg []byte) uint16 {
-	var sum uint32
-	add := func(b []byte) {
-		for i := 0; i+1 < len(b); i += 2 {
-			sum += uint32(binary.BigEndian.Uint16(b[i:]))
-		}
-		if len(b)%2 == 1 {
-			sum += uint32(b[len(b)-1]) << 8
-		}
-	}
-	add([]byte(src))
-	add([]byte(dst))
-	add(seg)
+	sum := uint32(sum16([]byte(src)) + sum16([]byte(dst)) + sum16(seg))
+	// Byte 15 is the low half of the word at 14 and byte 16 the high half
+	// of the word at 16 (or the odd last byte, padded the same way).
+	sum -= uint32(seg[15]) + uint32(seg[16])<<8
 	for sum>>16 != 0 {
 		sum = (sum & 0xFFFF) + sum>>16
 	}
 	return ^uint16(sum)
+}
+
+// sum16 adds b up as big-endian 16-bit words, zero-padding an odd last
+// byte. It reads eight bytes at a time; the total is the same.
+func sum16(b []byte) uint64 {
+	var sum uint64
+	for ; len(b) >= 8; b = b[8:] {
+		v := binary.BigEndian.Uint64(b)
+		sum += v>>48 + v>>32&0xFFFF + v>>16&0xFFFF + v&0xFFFF
+	}
+	for ; len(b) >= 2; b = b[2:] {
+		sum += uint64(binary.BigEndian.Uint16(b))
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
+	}
+	return sum
 }

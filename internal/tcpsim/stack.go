@@ -198,8 +198,14 @@ func (st *Stack) acceptSyn(l *Listener, remoteAddr string, syn *Segment) {
 	c.sendFlags(FlagSYN|FlagACK, nil)
 }
 
-// sendSegment applies egress filtering and transmits.
+// sendSegment encodes a segment into a fresh packet and transmits it.
 func (st *Stack) sendSegment(dst string, seg *Segment) {
+	st.transmit(dst, seg, seg.Encode(st.host.Addr(), dst))
+}
+
+// transmit applies egress filtering and sends pkt, the segment's encoding
+// between this host and dst.
+func (st *Stack) transmit(dst string, seg *Segment, pkt []byte) {
 	st.Segments++
 	for _, rule := range st.egress {
 		if !rule.Match(seg, st.host.Addr(), dst) {
@@ -216,10 +222,9 @@ func (st *Stack) sendSegment(dst string, seg *Segment) {
 			return
 		}
 	}
-	buf := seg.Encode(st.host.Addr(), dst)
 	// Errors (no route) surface as silent drops, like a black-holed packet;
 	// retransmission logic deals with the fallout.
-	_ = st.host.Send(&netsim.Packet{Dst: dst, Payload: buf})
+	_ = st.host.Send(&netsim.Packet{Dst: dst, Payload: pkt})
 }
 
 // Conns returns the number of live connections (diagnostics).

@@ -76,7 +76,7 @@ func TestDataTransferBothDirections(t *testing.T) {
 	if !w.net.RunUntil(func() bool { return s.Readable() >= 18 }) {
 		t.Fatal("request did not arrive")
 	}
-	if got := string(s.Read(0)); got != "GET / HTTP/1.1\r\n\r\n" {
+	if got := string(s.Read()); got != "GET / HTTP/1.1\r\n\r\n" {
 		t.Fatalf("server got %q", got)
 	}
 	if err := s.Write([]byte("HTTP/1.1 200 OK\r\n\r\n")); err != nil {
@@ -85,7 +85,7 @@ func TestDataTransferBothDirections(t *testing.T) {
 	if !w.net.RunUntil(func() bool { return c.Readable() > 0 }) {
 		t.Fatal("response did not arrive")
 	}
-	if got := string(c.Read(0)); !strings.HasPrefix(got, "HTTP/1.1 200") {
+	if got := string(c.Read()); !strings.HasPrefix(got, "HTTP/1.1 200") {
 		t.Fatalf("client got %q", got)
 	}
 }
@@ -100,7 +100,7 @@ func TestLargeTransferSegmentsAndReassembles(t *testing.T) {
 	if !w.net.RunUntil(func() bool { return s.Readable() >= len(payload) }) {
 		t.Fatalf("only %d/%d bytes arrived", s.Readable(), len(payload))
 	}
-	if got := s.Read(0); !bytes.Equal(got, payload) {
+	if got := s.Read(); !bytes.Equal(got, payload) {
 		t.Fatal("reassembled payload differs")
 	}
 }
@@ -124,6 +124,50 @@ func TestRetransmissionOnLoss(t *testing.T) {
 	c.Write(payload)
 	if !n.RunUntil(func() bool { return acc.Readable() >= len(payload) }) {
 		t.Fatalf("lossy transfer incomplete: %d/%d", acc.Readable(), len(payload))
+	}
+}
+
+// TestWriteDoesNotRetainCallerBuffer overwrites the caller's buffer right
+// after Write while the first transmission is lost: what the peer receives,
+// and what the RTO retransmits, must still be the original bytes.
+func TestWriteDoesNotRetainCallerBuffer(t *testing.T) {
+	w := newWorld(t, netsim.WiFi)
+	c, s := w.connect(t, 80)
+	var arrivals [][]byte // data payloads as they reach the server, in order
+	deliver := w.server.Host().Handler()
+	w.server.Host().Handle(func(pkt *netsim.Packet) {
+		if seg, err := DecodeSegment(pkt.Src, pkt.Dst, pkt.Payload); err == nil && len(seg.Payload) > 0 {
+			arrivals = append(arrivals, append([]byte(nil), seg.Payload...))
+		}
+		deliver(pkt)
+	})
+	w.device.Host().Link("93.184.216.34").DropNext(1)
+
+	want := bytes.Repeat([]byte("0123456789abcdef"), 3*MSS/16) // three segments
+	buf := append([]byte(nil), want...)
+	start := w.net.Now()
+	if err := c.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 'X'
+	}
+	if !w.net.RunUntil(func() bool { return s.Readable() >= len(want) }) {
+		t.Fatalf("only %d/%d bytes arrived", s.Readable(), len(want))
+	}
+	if w.net.Now()-start < w.device.RetransmitTimeout {
+		t.Fatal("delivery finished before the RTO: the first transmission was not lost")
+	}
+	if got := s.Read(); !bytes.Equal(got, want) {
+		t.Fatalf("delivered bytes differ from what was written (%d X bytes)", bytes.Count(got, []byte("X")))
+	}
+	if len(arrivals) <= 3 {
+		t.Fatalf("%d data segments reached the server; want the retransmission too", len(arrivals))
+	}
+	for i, a := range arrivals {
+		if bytes.IndexByte(a, 'X') >= 0 || !bytes.Contains(want, a) {
+			t.Fatalf("segment %d on the wire carries bytes the caller wrote after Write (%d X bytes)", i, bytes.Count(a, []byte("X")))
+		}
 	}
 }
 
@@ -272,14 +316,14 @@ func TestPayloadReplacementEndToEnd(t *testing.T) {
 	if !w.net.RunUntil(func() bool { return s.Readable() == 6 }) {
 		t.Fatal("unmarked segment blocked")
 	}
-	s.Read(0)
+	s.Read()
 
 	// Marked traffic takes the detour and arrives replaced.
 	c.Write(placeholder)
 	if !w.net.RunUntil(func() bool { return s.Readable() == len(secret) }) {
 		t.Fatal("marked segment never arrived at server")
 	}
-	if got := s.Read(0); !bytes.Equal(got, secret) {
+	if got := s.Read(); !bytes.Equal(got, secret) {
 		t.Fatalf("server got %q, want replaced payload", got)
 	}
 	if rep.Replaced != 1 {
