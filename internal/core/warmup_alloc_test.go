@@ -10,14 +10,21 @@ import (
 )
 
 // TestWarmupStreamAllocBudget bounds what the host allocates per warm-up
-// byte, from BeginWarmup to the node's final ack: capture, one encode into
-// the device's frame buffer, TCP segmentation, the node's frame reader and
-// its single decode. It catches a copy creeping back into that path.
+// byte and per chunk, from BeginWarmup to the node's final ack: capture, one
+// encode into the device's frame buffer, TCP segmentation, the node's frame
+// reader and its single decode. The byte bound catches a copy creeping back
+// into that path; the chunk bound catches an allocation per object, string
+// or packet.
 func TestWarmupStreamAllocBudget(t *testing.T) {
 	// Measured 6.97 bytes allocated per warm-up byte (paypal, seed 1); the
 	// bound leaves 1.5x headroom. Encoding twice, decoding twice and
 	// re-copying every byte through frames and segments cost 22.9.
 	const maxAllocPerByte = 10.5
+	// Measured 79.2 allocations per chunk, about 50 of them the packet
+	// buffer and netsim.Packet of each segment and ACK; the bound leaves 1.5x
+	// headroom. Allocating each decoded string and object, and a closure,
+	// event and segment per simulated packet, cost 422.5.
+	const maxMallocsPerChunk = 120.0
 	env, err := apps.NewLoginEnv(apps.EnvConfig{Profile: netsim.WiFi, TinMan: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -35,9 +42,13 @@ func TestWarmupStreamAllocBudget(t *testing.T) {
 		t.Fatalf("warm-up streamed only %d bytes; the budget measures nothing", app.Report.WarmupBytes)
 	}
 	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(app.Report.WarmupBytes)
-	t.Logf("%d warm-up bytes in %d chunks, %.2f bytes allocated per byte",
-		app.Report.WarmupBytes, app.Report.WarmupChunks, perByte)
+	perChunk := float64(after.Mallocs-before.Mallocs) / float64(app.Report.WarmupChunks)
+	t.Logf("%d warm-up bytes in %d chunks, %.2f bytes allocated per byte, %.1f mallocs per chunk",
+		app.Report.WarmupBytes, app.Report.WarmupChunks, perByte, perChunk)
 	if perByte > maxAllocPerByte {
 		t.Fatalf("warm-up allocates %.2f bytes per streamed byte, budget %.1f", perByte, maxAllocPerByte)
+	}
+	if perChunk > maxMallocsPerChunk {
+		t.Fatalf("warm-up makes %.1f allocations per chunk, budget %.0f", perChunk, maxMallocsPerChunk)
 	}
 }

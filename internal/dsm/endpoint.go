@@ -329,8 +329,9 @@ func (e *Endpoint) ApplyMigration(m *Migration) (*vm.Thread, error) {
 		return nil, err
 	}
 	// Pass 1: materialize or update objects so references resolve.
+	slab := objectSlab{left: len(m.Objects)}
 	for i := range m.Objects {
-		if err := e.adoptObject(&m.Objects[i]); err != nil {
+		if err := e.adoptObject(&m.Objects[i], &slab); err != nil {
 			return nil, err
 		}
 	}
@@ -457,17 +458,40 @@ func (e *Endpoint) decodeValue(vs *ValueState, prev vm.Value) (vm.Value, error) 
 	return v, nil
 }
 
-// adoptObject creates or refreshes the shell of an incoming object.
-func (e *Endpoint) adoptObject(os *ObjectState) error {
+// objectSlab hands out the objects one payload adopts from a single
+// allocation. On the first object the heap lacks, it allocates room for
+// every object the payload has left to adopt, this one included; left
+// counts those down. The slab lives as long as any object carved from it,
+// so what it retains is bounded by the payload that created it.
+type objectSlab struct {
+	free []vm.Object
+	left int
+}
+
+// next returns a fresh zero object, allocating the slab on first use.
+func (s *objectSlab) next() *vm.Object {
+	if len(s.free) == 0 {
+		s.free = make([]vm.Object, s.left)
+	}
+	o := &s.free[0]
+	s.free = s.free[1:]
+	return o
+}
+
+// adoptObject creates or refreshes the shell of an incoming object, taking
+// a new object from slab.
+func (e *Endpoint) adoptObject(os *ObjectState, slab *objectSlab) error {
 	class := e.VM.ClassByName(os.Class)
 	if class == nil {
 		return fmt.Errorf("dsm: %s: migration references unknown class %s", e.Side, os.Class)
 	}
 	o := e.VM.Heap.Get(os.ID)
 	if o == nil {
-		o = &vm.Object{ID: os.ID, Class: class}
+		o = slab.next()
+		o.ID, o.Class = os.ID, class
 		e.VM.Heap.Adopt(o)
 	}
+	slab.left--
 	o.Class = class
 	o.Tag = taint.Tag(os.Tag)
 	o.Version = os.Version

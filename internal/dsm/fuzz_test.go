@@ -29,10 +29,14 @@ func FuzzDecodeMigration(f *testing.F) {
 	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeMigration(data)
+		buf := append([]byte(nil), data...)
+		m, err := DecodeMigration(buf)
 		if err != nil {
 			return
 		}
+		// Nothing decoded may alias the input: overwriting it leaves every
+		// decoded string as it was.
+		checkOwnsStrings(t, buf, func() []string { return migrationStrings(m) })
 		// Whatever decodes must re-encode and decode to the same header.
 		m2, err := DecodeMigration(m.Encode())
 		if err != nil {
@@ -66,10 +70,12 @@ func FuzzDecodeWarmupChunk(f *testing.F) {
 	f.Add([]byte{2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeWarmupChunk(data)
+		buf := append([]byte(nil), data...)
+		c, err := DecodeWarmupChunk(buf)
 		if err != nil {
 			return
 		}
+		checkOwnsStrings(t, buf, func() []string { return objectStrings(c.Objects) })
 		if c.Epoch == 0 {
 			t.Fatal("decoder accepted the cold-path sentinel epoch")
 		}

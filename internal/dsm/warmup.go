@@ -64,7 +64,7 @@ func (c *WarmupChunk) Encode() []byte { return encodeExact(c.AppendEncode) }
 // DecodeWarmupChunk parses a wire-form warm-up chunk with the same guards as
 // DecodeMigration: truncation, implausible counts, trailing bytes.
 func DecodeWarmupChunk(buf []byte) (*WarmupChunk, error) {
-	d := &decoder{buf: buf}
+	d := newDecoder(buf)
 	if v := d.u8(); v != wireVersion && d.err == nil {
 		return nil, fmt.Errorf("dsm: warmup chunk wire version %d, want %d", v, wireVersion)
 	}
@@ -241,9 +241,14 @@ func (e *Endpoint) ApplyWarmupChunk(c *WarmupChunk) error {
 		return nil
 	}
 	// Final chunk: adopt shells first so references resolve, then fill.
+	// The warm-up's new objects all come out of one slab.
+	slab := objectSlab{}
+	for _, objs := range r.chunks {
+		slab.left += len(objs)
+	}
 	for _, objs := range r.chunks {
 		for i := range objs {
-			if err := e.adoptObject(&objs[i]); err != nil {
+			if err := e.adoptObject(&objs[i], &slab); err != nil {
 				e.warmRecv = nil
 				return err
 			}

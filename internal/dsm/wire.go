@@ -235,11 +235,19 @@ func (m *Migration) Encode() []byte { return encodeExact(m.AppendEncode) }
 
 // --- decoder ---
 
+// decoder parses one message. It copies the message into a single string
+// up front and returns every decoded string (class and method names, cor
+// IDs, string payloads) as a substring of that copy: decoding costs one
+// string allocation per message, not one per string, and nothing decoded
+// aliases the caller's buffer, which the caller may reuse at once.
 type decoder struct {
 	buf []byte
+	s   string // the message copy that decoded strings slice
 	off int
 	err error
 }
+
+func newDecoder(buf []byte) decoder { return decoder{buf: buf, s: string(buf)} }
 
 func (d *decoder) fail(format string, args ...any) {
 	if d.err == nil {
@@ -310,7 +318,7 @@ func (d *decoder) str() string {
 		d.fail("string length %d exceeds remaining %d", n, len(d.buf)-d.off)
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	s := d.s[d.off : d.off+int(n)]
 	d.off += int(n)
 	return s
 }
@@ -387,7 +395,7 @@ func (d *decoder) frame(f *FrameState) {
 
 // DecodeMigration parses a wire-form migration.
 func DecodeMigration(buf []byte) (*Migration, error) {
-	d := &decoder{buf: buf}
+	d := newDecoder(buf)
 	if v := d.u8(); v != wireVersion && d.err == nil {
 		return nil, fmt.Errorf("dsm: wire version %d, want %d", v, wireVersion)
 	}

@@ -11,7 +11,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -34,31 +33,69 @@ func (c *Clock) advance(d time.Duration) {
 	c.now += d
 }
 
-// event is a scheduled callback in the simulator's event queue.
+// event is one entry of the simulator's event queue: a Schedule callback,
+// or a packet arriving at a host. Arrivals are plain data rather than
+// closures, so moving a packet through the queue allocates nothing.
 type event struct {
 	at  time.Duration
 	seq uint64 // tie-breaker: FIFO among events at the same instant
-	fn  func()
+	fn  func() // a Schedule callback; nil for a packet arrival
+	// A packet arrival delivers pkt to dst, over link in direction dir, or
+	// over the host's implicit loopback when link is nil.
+	pkt  *Packet
+	dst  *Host
+	link *Link
+	dir  int
 }
 
-// eventQueue is a min-heap ordered by (at, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders events by (at, seq). seq is unique, so the order is total
+// and every heap pops the same sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+
+// eventQueue is a binary min-heap of event values ordered by before.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event. The queue must not be empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	ev := h[0]
+	h[0] = h[n]
+	h[n] = event{} // drop references held by the vacated slot
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
 	return ev
 }
 
@@ -98,8 +135,29 @@ func (n *Net) Schedule(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
+	n.enqueue(event{at: n.clock.Now() + delay, fn: fn})
+}
+
+// enqueue stamps ev with the next sequence number and queues it.
+func (n *Net) enqueue(ev event) {
 	n.seq++
-	heap.Push(&n.queue, &event{at: n.clock.Now() + delay, seq: n.seq, fn: fn})
+	ev.seq = n.seq
+	n.queue.push(ev)
+}
+
+// fire advances the clock to ev and runs it.
+func (n *Net) fire(ev *event) {
+	if ev.at > n.clock.Now() {
+		n.clock.advance(ev.at - n.clock.Now())
+	}
+	switch {
+	case ev.fn != nil:
+		ev.fn()
+	case ev.link != nil:
+		ev.link.arrive(ev.dir, ev.dst, ev.pkt)
+	default:
+		ev.dst.loopback(ev.pkt)
+	}
 }
 
 // Advance moves virtual time forward by d without processing events scheduled
@@ -109,11 +167,8 @@ func (n *Net) Schedule(delay time.Duration, fn func()) {
 func (n *Net) Advance(d time.Duration) {
 	deadline := n.clock.Now() + d
 	for len(n.queue) > 0 && n.queue[0].at <= deadline {
-		ev := heap.Pop(&n.queue).(*event)
-		if ev.at > n.clock.Now() {
-			n.clock.advance(ev.at - n.clock.Now())
-		}
-		ev.fn()
+		ev := n.queue.pop()
+		n.fire(&ev)
 	}
 	if deadline > n.clock.Now() {
 		n.clock.advance(deadline - n.clock.Now())
@@ -126,11 +181,8 @@ func (n *Net) Step() bool {
 	if len(n.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&n.queue).(*event)
-	if ev.at > n.clock.Now() {
-		n.clock.advance(ev.at - n.clock.Now())
-	}
-	ev.fn()
+	ev := n.queue.pop()
+	n.fire(&ev)
 	return true
 }
 

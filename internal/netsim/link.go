@@ -146,17 +146,21 @@ func (l *Link) transmit(src *Host, pkt *Packet) {
 		arrival = l.lastArrival[dir]
 	}
 	l.lastArrival[dir] = arrival
-	total := arrival - n.Now()
-	n.Schedule(total, func() {
-		n.nmsgs++
-		n.nbytes += uint64(pkt.Size())
-		l.Delivered[dir]++
-		if n.tracer != nil {
-			n.tracer.record(TraceEvent{At: n.Now(), Src: pkt.Src, Dst: pkt.Dst, Size: pkt.Size()})
-		}
-		l.lastUse = n.Now()
-		dst.deliver(pkt)
-	})
+	n.enqueue(event{at: arrival, pkt: pkt, dst: dst, link: l, dir: dir})
+}
+
+// arrive completes a transmission: pkt reaches dst after crossing the link
+// in direction dir.
+func (l *Link) arrive(dir int, dst *Host, pkt *Packet) {
+	n := l.net
+	n.nmsgs++
+	n.nbytes += uint64(pkt.Size())
+	l.Delivered[dir]++
+	if n.tracer != nil {
+		n.tracer.record(TraceEvent{At: n.Now(), Src: pkt.Src, Dst: pkt.Dst, Size: pkt.Size()})
+	}
+	l.lastUse = n.Now()
+	dst.deliver(pkt)
 }
 
 // Host is a network endpoint with an address and an inbound packet handler.
@@ -245,12 +249,7 @@ func (h *Host) SendRaw(pkt *Packet) error {
 	}
 	if pkt.Dst == h.addr {
 		// Implicit loopback.
-		h.net.Schedule(Loopback.Latency, func() {
-			if h.net.tracer != nil {
-				h.net.tracer.record(TraceEvent{At: h.net.Now(), Src: pkt.Src, Dst: pkt.Dst, Size: pkt.Size(), Note: "loopback"})
-			}
-			h.deliver(pkt)
-		})
+		h.net.enqueue(event{at: h.net.Now() + Loopback.Latency, pkt: pkt, dst: h})
 		h.Sent++
 		h.SentBytes += uint64(pkt.Size())
 		return nil
@@ -272,6 +271,14 @@ func (h *Host) SetEgressFilter(on bool) { h.egressFilter = on }
 
 // EgressFilter reports whether egress filtering is active.
 func (h *Host) EgressFilter() bool { return h.egressFilter }
+
+// loopback delivers a packet the host sent to itself.
+func (h *Host) loopback(pkt *Packet) {
+	if h.net.tracer != nil {
+		h.net.tracer.record(TraceEvent{At: h.net.Now(), Src: pkt.Src, Dst: pkt.Dst, Size: pkt.Size(), Note: "loopback"})
+	}
+	h.deliver(pkt)
+}
 
 func (h *Host) deliver(pkt *Packet) {
 	if h.down {

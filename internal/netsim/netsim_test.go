@@ -340,3 +340,69 @@ func TestDeliveryLowerBoundProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCallbackAndArrivalSameInstant pins the queue's tie-break across event
+// kinds: a Schedule callback and a packet arrival due at the same instant
+// fire in the order they were scheduled, whichever comes first.
+func TestCallbackAndArrivalSameInstant(t *testing.T) {
+	prof := Profile{Name: "fixed", Latency: 3 * time.Millisecond}
+	for _, callbackFirst := range []bool{true, false} {
+		n := New(1)
+		a, b := n.AddHost("a"), n.AddHost("b")
+		n.Connect(a, b, prof)
+		var got []string
+		b.Handle(func(*Packet) { got = append(got, "packet") })
+		callback := func() { n.Schedule(prof.Latency, func() { got = append(got, "callback") }) }
+		send := func() {
+			if err := a.Send(&Packet{Dst: "b", Payload: []byte("x")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := []string{"packet", "callback"}
+		if callbackFirst {
+			callback()
+			send()
+			want = []string{"callback", "packet"}
+		} else {
+			send()
+			callback()
+		}
+		n.Run()
+		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("callback scheduled first=%v: fired %v, want %v", callbackFirst, got, want)
+		}
+		if n.Now() != prof.Latency {
+			t.Fatalf("both events due at %v, clock ended at %v", prof.Latency, n.Now())
+		}
+	}
+}
+
+// TestPacketDeliveryAllocatesNothing guards the value-typed event queue:
+// once the queue has grown, sending a packet over a link (or the loopback)
+// and running it to delivery allocates nothing inside netsim. The packet
+// itself belongs to the caller.
+func TestPacketDeliveryAllocatesNothing(t *testing.T) {
+	n := New(1)
+	a, b := n.AddHost("a"), n.AddHost("b")
+	n.Connect(a, b, WiFi)
+	delivered := 0
+	b.Handle(func(*Packet) { delivered++ })
+	a.Handle(func(*Packet) { delivered++ })
+	over := &Packet{Dst: "b", Payload: make([]byte, 1400)}
+	loop := &Packet{Dst: "a", Payload: make([]byte, 64)}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := a.Send(over); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Send(loop); err != nil {
+			t.Fatal(err)
+		}
+		n.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("send and delivery allocate %.1f objects per run, want 0", allocs)
+	}
+	if delivered != 2*101 {
+		t.Fatalf("delivered %d packets, want %d", delivered, 2*101)
+	}
+}

@@ -16,10 +16,14 @@ type Conn struct {
 	listener   *Listener
 
 	// send side
-	sndUna   uint32 // oldest unacknowledged
-	sndNxt   uint32 // next sequence to send
-	inFlight []*Segment
+	sndUna uint32 // oldest unacknowledged
+	sndNxt uint32 // next sequence to send
+	// inFlight holds the sequence-consuming segments not yet acknowledged,
+	// in sequence order; each Payload aliases the segment's wire packet.
+	inFlight []Segment
 	rtoArmed bool
+	// onRTOFn is c.onRTO, bound once so arming the timer allocates nothing.
+	onRTOFn func()
 	// rtoBackoff doubles on stalled timeouts and resets on ACK progress.
 	rtoBackoff int
 	// rtoLastUna detects progress between timer firings.
@@ -112,9 +116,11 @@ func (c *Conn) teardown() {
 
 // sendFlags transmits a segment, consuming one sequence number for SYN and
 // FIN. The payload is copied into the encoded packet, and the segment kept
-// for retransmission points at that copy, never at the caller's bytes.
+// for retransmission points at that copy, never at the caller's bytes. The
+// packet is the only allocation: the segment itself lives on the stack and
+// is stored by value when it must be kept.
 func (c *Conn) sendFlags(flags uint8, payload []byte) {
-	seg := &Segment{
+	seg := Segment{
 		SrcPort: c.key.localPort,
 		DstPort: c.key.remotePort,
 		Seq:     c.sndNxt,
@@ -133,11 +139,11 @@ func (c *Conn) sendFlags(flags uint8, payload []byte) {
 	if consumed > 0 {
 		c.track(seg)
 	}
-	c.stack.transmit(c.remoteAddr, seg, pkt)
+	c.stack.transmit(c.remoteAddr, &seg, pkt)
 }
 
 // track adds a sequence-consuming segment to the retransmission queue.
-func (c *Conn) track(seg *Segment) {
+func (c *Conn) track(seg Segment) {
 	c.inFlight = append(c.inFlight, seg)
 	c.armRTO()
 }
@@ -149,7 +155,10 @@ func (c *Conn) armRTO() {
 	c.rtoArmed = true
 	c.rtoLastUna = c.sndUna
 	timeout := c.stack.RetransmitTimeout << uint(c.rtoBackoff)
-	c.stack.net.Schedule(timeout, c.onRTO)
+	if c.onRTOFn == nil {
+		c.onRTOFn = c.onRTO
+	}
+	c.stack.net.Schedule(timeout, c.onRTOFn)
 }
 
 // onRTO fires the retransmission timer. If ACKs made progress since arming,
@@ -171,7 +180,7 @@ func (c *Conn) onRTO() {
 	// Refresh the cumulative ack and re-encode into a fresh packet: the
 	// original one belongs to netsim (and possibly a receiver) and is never
 	// written again.
-	seg := c.inFlight[0]
+	seg := &c.inFlight[0]
 	seg.Ack = c.rcvNxt
 	c.stack.sendSegment(c.remoteAddr, seg)
 	if c.rtoBackoff < 4 {
@@ -265,7 +274,8 @@ func (c *Conn) ackUpTo(ack uint32) {
 	// inFlight is in sequence order and acks are cumulative, so the
 	// acknowledged segments are a prefix.
 	n := 0
-	for _, seg := range c.inFlight {
+	for i := range c.inFlight {
+		seg := &c.inFlight[i]
 		end := seg.Seq + uint32(len(seg.Payload))
 		if seg.Flags&(FlagSYN|FlagFIN) != 0 {
 			end++
@@ -276,6 +286,12 @@ func (c *Conn) ackUpTo(ack uint32) {
 		n++
 	}
 	clear(c.inFlight[:n])
+	if n == len(c.inFlight) {
+		// Everything is acknowledged: reuse the backing array from its
+		// start rather than creep along it.
+		c.inFlight = c.inFlight[:0]
+		return
+	}
 	c.inFlight = c.inFlight[n:]
 }
 

@@ -22,9 +22,11 @@ const (
 // FilterRule is an egress filter entry.
 type FilterRule struct {
 	Name string
-	// Match inspects the outbound segment with its source and destination
-	// addresses.
-	Match func(seg *Segment, src, dst string) bool
+	// Match inspects a copy of the outbound segment with its source and
+	// destination addresses. The copy is passed by value so that matching
+	// does not force the sender's segment onto the heap; Payload still
+	// aliases the wire packet and must not be modified.
+	Match func(seg Segment, src, dst string) bool
 	// Verdict applies when Match returns true.
 	Verdict Verdict
 	// RedirectTo names the target host for VerdictRedirect.
@@ -66,7 +68,7 @@ func (st *Stack) RemoveEgressRule(name string) int {
 func MarkedRecordRule(markType byte, redirectTo string) *FilterRule {
 	return &FilterRule{
 		Name: fmt.Sprintf("tinman-cor-mark-%#02x", markType),
-		Match: func(seg *Segment, src, dst string) bool {
+		Match: func(seg Segment, src, dst string) bool {
 			return len(seg.Payload) > 0 && seg.Payload[0] == markType
 		},
 		Verdict:    VerdictRedirect,
@@ -102,9 +104,9 @@ func isEncap(b []byte) bool {
 }
 
 // decapsulate recovers the original addressing and segment.
-func decapsulate(b []byte) (origSrc, origDst string, seg *Segment, err error) {
+func decapsulate(b []byte) (origSrc, origDst string, seg Segment, err error) {
 	if !isEncap(b) {
-		return "", "", nil, fmt.Errorf("tcpsim: not an encapsulated redirect")
+		return "", "", Segment{}, fmt.Errorf("tcpsim: not an encapsulated redirect")
 	}
 	b = b[4:]
 	readStr := func() (string, error) {
@@ -121,14 +123,14 @@ func decapsulate(b []byte) (origSrc, origDst string, seg *Segment, err error) {
 		return s, nil
 	}
 	if origSrc, err = readStr(); err != nil {
-		return "", "", nil, err
+		return "", "", Segment{}, err
 	}
 	if origDst, err = readStr(); err != nil {
-		return "", "", nil, err
+		return "", "", Segment{}, err
 	}
 	seg, err = DecodeSegment(origSrc, origDst, b)
 	if err != nil {
-		return "", "", nil, err
+		return "", "", Segment{}, err
 	}
 	return origSrc, origDst, seg, nil
 }

@@ -46,7 +46,7 @@ func FuzzDecapsulate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := encapsulate(src, dst, got)
+		re := encapsulate(src, dst, &got)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encapsulation differs")
 		}

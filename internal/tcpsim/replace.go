@@ -65,7 +65,7 @@ func (r *Replacer) handleRedirect(pkt *netsim.Packet) {
 		r.fail(fmt.Errorf("tcpsim: replacer: %v", err))
 		return
 	}
-	newPayload, err := r.Rewrite(origSrc, origDst, seg)
+	newPayload, err := r.Rewrite(origSrc, origDst, &seg)
 	if err != nil {
 		r.fail(fmt.Errorf("tcpsim: replacer: rewrite: %v", err))
 		return

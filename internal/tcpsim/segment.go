@@ -82,12 +82,13 @@ func (s *Segment) Encode(src, dst string) []byte {
 }
 
 // DecodeSegment parses and verifies a segment received between src and dst.
-// It neither copies nor modifies buf: the returned Payload aliases it.
-func DecodeSegment(src, dst string, buf []byte) (*Segment, error) {
+// It neither copies nor modifies buf: the returned Payload aliases it. The
+// segment comes back by value, so parsing one allocates nothing.
+func DecodeSegment(src, dst string, buf []byte) (Segment, error) {
 	if len(buf) < segHeaderLen {
-		return nil, fmt.Errorf("tcpsim: segment too short (%d bytes)", len(buf))
+		return Segment{}, fmt.Errorf("tcpsim: segment too short (%d bytes)", len(buf))
 	}
-	s := &Segment{
+	s := Segment{
 		SrcPort:  binary.BigEndian.Uint16(buf[0:]),
 		DstPort:  binary.BigEndian.Uint16(buf[2:]),
 		Seq:      binary.BigEndian.Uint32(buf[4:]),
@@ -98,7 +99,7 @@ func DecodeSegment(src, dst string, buf []byte) (*Segment, error) {
 		Payload:  buf[segHeaderLen:],
 	}
 	if got := checksum(src, dst, buf); got != s.Checksum {
-		return nil, fmt.Errorf("tcpsim: checksum mismatch: header %#04x, computed %#04x", s.Checksum, got)
+		return Segment{}, fmt.Errorf("tcpsim: checksum mismatch: header %#04x, computed %#04x", s.Checksum, got)
 	}
 	return s, nil
 }

@@ -163,20 +163,20 @@ func (st *Stack) onPacket(pkt *netsim.Packet) {
 	}
 	key := connKey{localPort: seg.DstPort, remoteAddr: pkt.Src, remotePort: seg.SrcPort}
 	if c, ok := st.conns[key]; ok {
-		c.handleSegment(seg)
+		c.handleSegment(&seg)
 		return
 	}
 	if l, ok := st.listeners[seg.DstPort]; ok && seg.Flags&FlagSYN != 0 && seg.Flags&FlagACK == 0 {
-		st.acceptSyn(l, pkt.Src, seg)
+		st.acceptSyn(l, pkt.Src, &seg)
 		return
 	}
 	// No socket: answer non-RST segments with RST.
 	if seg.Flags&FlagRST == 0 {
-		rst := &Segment{
+		rst := Segment{
 			SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 			Seq: seg.Ack, Ack: seg.Seq + 1, Flags: FlagRST | FlagACK,
 		}
-		st.sendSegment(pkt.Src, rst)
+		st.sendSegment(pkt.Src, &rst)
 	}
 }
 
@@ -208,7 +208,7 @@ func (st *Stack) sendSegment(dst string, seg *Segment) {
 func (st *Stack) transmit(dst string, seg *Segment, pkt []byte) {
 	st.Segments++
 	for _, rule := range st.egress {
-		if !rule.Match(seg, st.host.Addr(), dst) {
+		if !rule.Match(*seg, st.host.Addr(), dst) {
 			continue
 		}
 		switch rule.Verdict {

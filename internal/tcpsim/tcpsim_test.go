@@ -171,6 +171,40 @@ func TestWriteDoesNotRetainCallerBuffer(t *testing.T) {
 	}
 }
 
+// TestSegmentAllocBudget guards the value-typed segment path: a data
+// segment's send and receive, with its ACK, allocate only each segment's
+// encoded packet and the netsim.Packet carrying it, plus the receive buffer
+// Read hands over. An egress rule that inspects every outbound segment is
+// installed, since matching must not push the segment onto the heap either.
+func TestSegmentAllocBudget(t *testing.T) {
+	w := newWorld(t, netsim.WiFi)
+	if err := w.device.AddEgressRule(MarkedRecordRule(0x7F, "10.8.0.1")); err != nil {
+		t.Fatal(err)
+	}
+	c, s := w.connect(t, 80)
+	data := bytes.Repeat([]byte{'d'}, MSS)
+	segs := func() uint64 { return w.device.Segments + w.server.Segments }
+	before := segs()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := c.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		w.net.Run()
+		if got := s.Read(); len(got) != MSS {
+			t.Fatalf("read %d bytes, want %d", len(got), MSS)
+		}
+	})
+	perRun := float64(segs()-before) / (runs + 1)
+	if perRun != 2 {
+		t.Fatalf("%.1f segments per run, want the data segment and its ACK", perRun)
+	}
+	t.Logf("%.1f allocations per data segment round", allocs)
+	if limit := 2*perRun + 1; allocs > limit {
+		t.Fatalf("one data segment's send and receive allocate %.1f objects, budget %.0f", allocs, limit)
+	}
+}
+
 func TestCloseHandshake(t *testing.T) {
 	w := newWorld(t, netsim.WiFi)
 	c, s := w.connect(t, 80)
@@ -261,7 +295,7 @@ func TestFilterRuleValidation(t *testing.T) {
 		t.Fatal("rule without matcher accepted")
 	}
 	if err := w.device.AddEgressRule(&FilterRule{
-		Name: "x", Match: func(*Segment, string, string) bool { return true }, Verdict: VerdictRedirect,
+		Name: "x", Match: func(Segment, string, string) bool { return true }, Verdict: VerdictRedirect,
 	}); err == nil {
 		t.Fatal("redirect rule without target accepted")
 	}
@@ -272,7 +306,7 @@ func TestFilterDrop(t *testing.T) {
 	c, s := w.connect(t, 80)
 	w.device.AddEgressRule(&FilterRule{
 		Name:    "drop-evil",
-		Match:   func(seg *Segment, src, dst string) bool { return bytes.HasPrefix(seg.Payload, []byte("EVIL")) },
+		Match:   func(seg Segment, src, dst string) bool { return bytes.HasPrefix(seg.Payload, []byte("EVIL")) },
 		Verdict: VerdictDrop,
 	})
 	c.Write([]byte("EVIL payload"))

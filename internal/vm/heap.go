@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tinman/internal/taint"
@@ -109,12 +110,19 @@ func (o *Object) WireSize() int {
 	return n
 }
 
-// Heap is one endpoint's object store with dirty tracking for the DSM.
+// Heap is one endpoint's object store with dirty tracking for the DSM. It
+// is not safe for concurrent use, not even by readers alone: Objects may
+// sort the heap's ID-ordered view in place.
 type Heap struct {
 	objects map[uint64]*Object
-	nextID  uint64
-	step    uint64
-	dirty   map[uint64]struct{}
+	// byID lists every object once, appended as installed. The heap never
+	// deletes, so it only grows; it is sorted by ID lazily, when Objects
+	// needs it after an object arrived out of ID order.
+	byID   []*Object
+	sorted bool // byID is in ascending ID order
+	nextID uint64
+	step   uint64
+	dirty  map[uint64]struct{}
 	// lastDirty short-circuits MarkDirty for consecutive writes to the same
 	// object (the aput-in-a-loop pattern): the map insert is skipped once
 	// the object is known-dirty. Reset whenever the dirty set is cleared.
@@ -133,6 +141,7 @@ func NewHeap(base, step uint64) *Heap {
 	}
 	return &Heap{
 		objects: make(map[uint64]*Object),
+		sorted:  true,
 		nextID:  base,
 		step:    step,
 		dirty:   make(map[uint64]struct{}),
@@ -175,7 +184,31 @@ func (h *Heap) Adopt(o *Object) {
 	if o.ID == 0 {
 		panic("vm: adopting object without ID")
 	}
+	if _, dup := h.objects[o.ID]; dup {
+		ordered := h.ordered()
+		i := sort.Search(len(ordered), func(i int) bool { return ordered[i].ID >= o.ID })
+		ordered[i] = o
+	} else {
+		h.appendByID(o)
+	}
 	h.objects[o.ID] = o
+}
+
+// appendByID adds a new object to the ID-ordered view.
+func (h *Heap) appendByID(o *Object) {
+	if n := len(h.byID); n > 0 && h.byID[n-1].ID > o.ID {
+		h.sorted = false
+	}
+	h.byID = append(h.byID, o)
+}
+
+// ordered returns the view sorted by ID, sorting it first if needed.
+func (h *Heap) ordered() []*Object {
+	if !h.sorted {
+		sort.Slice(h.byID, func(i, j int) bool { return h.byID[i].ID < h.byID[j].ID })
+		h.sorted = true
+	}
+	return h.byID
 }
 
 // Get returns the object with the given ID, or nil.
@@ -185,14 +218,8 @@ func (h *Heap) Get(id uint64) *Object { return h.objects[id] }
 func (h *Heap) Len() int { return len(h.objects) }
 
 // Objects returns all objects ordered by ID (stable for serialization).
-func (h *Heap) Objects() []*Object {
-	out := make([]*Object, 0, len(h.objects))
-	for _, o := range h.objects {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// The slice is the caller's own: later allocations never show up in it.
+func (h *Heap) Objects() []*Object { return slices.Clone(h.ordered()) }
 
 // MarkDirty records a mutation for the DSM. The VM calls it on every heap
 // write; natives that mutate objects must call it too.
@@ -247,6 +274,7 @@ func (h *Heap) install(o *Object) {
 		panic(fmt.Sprintf("vm: duplicate heap ID %d", o.ID))
 	}
 	h.objects[o.ID] = o
+	h.appendByID(o)
 	h.Allocs++
 	h.dirty[o.ID] = struct{}{}
 	h.lastDirty = o

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -195,5 +196,49 @@ func TestAllocIDsMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeapObjectsOrder pins Objects to ascending ID order whatever order
+// objects arrive in: interleaved allocations and adoptions (the node heap
+// adopts the device's odd IDs between its own even ones), and a replacing
+// Adopt, which must show the new object in the old one's place.
+func TestHeapObjectsOrder(t *testing.T) {
+	h := NewHeap(2, 2)
+	c := NewClass("C")
+	h.Alloc(c) // 2
+	h.Adopt(&Object{ID: 9, Class: c})
+	h.Alloc(c) // 4
+	h.Adopt(&Object{ID: 1, Class: c})
+	snapshot := h.Objects()
+	h.Alloc(c) // 6
+	repl := &Object{ID: 4, Class: c, IsStr: true, Str: "new"}
+	h.Adopt(repl)
+	h.Adopt(&Object{ID: 3, Class: c})
+
+	ids := func(objs []*Object) []uint64 {
+		out := make([]uint64, len(objs))
+		for i, o := range objs {
+			out[i] = o.ID
+		}
+		return out
+	}
+	if got, want := fmt.Sprint(ids(snapshot)), "[1 2 4 9]"; got != want {
+		t.Fatalf("earlier Objects result changed to %s, want %s", got, want)
+	}
+	objs := h.Objects()
+	if got, want := fmt.Sprint(ids(objs)), "[1 2 3 4 6 9]"; got != want {
+		t.Fatalf("Objects order %s, want %s", got, want)
+	}
+	if objs[3] != repl {
+		t.Fatal("replacing Adopt left the old object in Objects")
+	}
+	for _, o := range objs {
+		if h.Get(o.ID) != o {
+			t.Fatalf("Objects and Get disagree on #%d", o.ID)
+		}
+	}
+	if len(objs) != h.Len() {
+		t.Fatalf("Objects lists %d objects, heap holds %d", len(objs), h.Len())
 	}
 }
